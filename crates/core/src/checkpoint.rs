@@ -12,7 +12,7 @@
 //! run that was never interrupted.
 //!
 //! Durability comes from the classic write-to-temp → fsync → atomic
-//! rename discipline (`wire::atomic_write`'s protocol, plus a
+//! rename discipline (`daisy_wire::atomic_write`'s protocol, plus a
 //! last-good rotation): the previous checkpoint is renamed to `.prev`
 //! before the new one lands, so at every instant the disk holds at
 //! least one complete, verifiable checkpoint. Every section of the file
@@ -30,12 +30,12 @@ use crate::config::{LossKind, SynthesizerConfig};
 use crate::fault::{ArmedIoFaults, IoFault, IoFaultPlan};
 use crate::guard::{RecoveryAction, RecoveryEvent, TrainOutcome, TripReason};
 use crate::train::EpochStats;
-use crate::wire::{self, Reader, WireError, Writer};
 use daisy_telemetry::{field, schema};
 use daisy_tensor::{RngState, Tensor};
+use daisy_wire::{crc64, quarantine, sibling, sync_parent_dir, Reader, WireError, Writer};
 use std::fmt;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use daisy_wire::magic::CHECKPOINT as MAGIC;
 
@@ -80,7 +80,7 @@ pub fn scratch_path(tag: &str) -> PathBuf {
 /// produced it; resume ignores checkpoints whose fingerprint differs —
 /// a stale file from an earlier sweep must not hijack a new cell.
 pub fn config_fingerprint(cfg: &SynthesizerConfig) -> u64 {
-    wire::crc64(&crate::persist::config_bytes(cfg))
+    crc64(&crate::persist::config_bytes(cfg))
 }
 
 fn every_from_env() -> usize {
@@ -529,7 +529,7 @@ impl CheckpointStore {
         }
 
         let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
-        let tmp = wire::sibling(&self.path, "tmp");
+        let tmp = sibling(&self.path, "tmp");
         if let Some(offset) = torn {
             // The crash happens mid-write: a prefix of the temp file
             // lands, the rename never runs, the main file is untouched.
@@ -551,10 +551,10 @@ impl CheckpointStore {
         // `.prev` until the *next* save rotates it out, so a bit-rotted
         // primary always has a verified predecessor to fall back to.
         if self.path.exists() {
-            std::fs::rename(&self.path, wire::sibling(&self.path, "prev")).map_err(io)?;
+            std::fs::rename(&self.path, sibling(&self.path, "prev")).map_err(io)?;
         }
         std::fs::rename(&tmp, &self.path).map_err(io)?;
-        wire::sync_parent_dir(&self.path);
+        sync_parent_dir(&self.path);
         if let Some(offset) = flip {
             // Silent corruption after a successful save: the caller
             // sees success; only the next load's checksum notices.
@@ -570,24 +570,36 @@ impl CheckpointStore {
     }
 
     /// Loads the freshest valid checkpoint with the expected
-    /// fingerprint: the primary file first, then `.prev`. A corrupt
-    /// candidate is quarantined (renamed `.corrupt-N`) and reported via
-    /// one `checkpoint_corrupt_skipped` event; a valid checkpoint with
-    /// a foreign fingerprint (stale sweep, different cell) is ignored
-    /// silently. Returns `None` when nothing usable exists — the caller
-    /// trains from scratch.
-    pub(crate) fn load_latest(&self, fingerprint: u64) -> Option<TrainCheckpoint> {
+    /// fingerprint: the primary file first, then `.prev`. A candidate
+    /// that is corrupt, or whose tensors do not `fit` the live
+    /// architecture, is quarantined (renamed `.corrupt-N`) and reported
+    /// via one `checkpoint_corrupt_skipped` event; a valid checkpoint
+    /// with a foreign fingerprint (stale sweep, different cell) is
+    /// ignored silently. Returns `None` when nothing usable exists — the
+    /// caller trains from scratch.
+    pub(crate) fn load_latest(
+        &self,
+        fingerprint: u64,
+        fits: impl Fn(&TrainCheckpoint) -> Result<(), String>,
+    ) -> Option<TrainCheckpoint> {
         let candidates = [
             ("primary", self.path.clone()),
-            ("previous", wire::sibling(&self.path, "prev")),
+            ("previous", sibling(&self.path, "prev")),
         ];
         for (slot, path) in candidates {
             let Ok(bytes) = std::fs::read(&path) else {
                 continue;
             };
-            match TrainCheckpoint::from_bytes(&bytes) {
-                Ok(ckpt) if ckpt.fingerprint == fingerprint => return Some(ckpt),
-                Ok(_) => {} // stale configuration: not ours to resume
+            let verdict = TrainCheckpoint::from_bytes(&bytes).and_then(|ckpt| {
+                if ckpt.fingerprint != fingerprint {
+                    return Ok(None);
+                }
+                fits(&ckpt).map_err(CheckpointError::Corrupt)?;
+                Ok(Some(ckpt))
+            });
+            match verdict {
+                Ok(Some(ckpt)) => return Some(ckpt),
+                Ok(None) => {} // stale configuration: not ours to resume
                 Err(err) => {
                     quarantine(&path);
                     if daisy_telemetry::enabled() {
@@ -603,24 +615,11 @@ impl CheckpointStore {
     }
 }
 
-/// Moves a corrupt checkpoint aside as `<path>.corrupt-N` (first free
-/// N) so it stays available for post-mortem without ever being loaded
-/// again.
-fn quarantine(path: &Path) {
-    for n in 0..10_000u32 {
-        let dest = wire::sibling(path, &format!("corrupt-{n}"));
-        if !dest.exists() {
-            let _ = std::fs::rename(path, dest);
-            return;
-        }
-    }
-    let _ = std::fs::remove_file(path);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use daisy_tensor::Rng;
+    use std::path::Path;
 
     fn dummy(fingerprint: u64, t: usize) -> TrainCheckpoint {
         let mut rng = Rng::seed_from_u64(t as u64);
@@ -737,8 +736,8 @@ mod tests {
         let mut store = CheckpointStore::new(path.clone(), &IoFaultPlan::none());
         store.save(&dummy(42, 3)).unwrap();
         store.save(&dummy(42, 6)).unwrap();
-        assert!(wire::sibling(&path, "prev").exists());
-        let latest = store.load_latest(42).expect("latest");
+        assert!(sibling(&path, "prev").exists());
+        let latest = store.load_latest(42, |_| Ok(())).expect("latest");
         assert_eq!(latest.t, 6);
         cleanup(&path);
     }
@@ -754,10 +753,35 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;
         std::fs::write(&path, bytes).unwrap();
-        let recovered = store.load_latest(42).expect("fallback to .prev");
+        let recovered = store
+            .load_latest(42, |_| Ok(()))
+            .expect("fallback to .prev");
         assert_eq!(recovered.t, 3, "must resume from the last-good file");
         assert!(!path.exists(), "corrupt primary must be moved aside");
-        assert!(wire::sibling(&path, "corrupt-0").exists());
+        assert!(sibling(&path, "corrupt-0").exists());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn checkpoint_that_does_not_fit_is_quarantined_like_corruption() {
+        // A CRC-valid file with the right fingerprint but tensors the
+        // live architecture cannot take (a re-sealed edit, say) must be
+        // refused before restore, whose setters would panic.
+        let path = scratch_path("ckpt-misfit");
+        let mut store = CheckpointStore::new(path.clone(), &IoFaultPlan::none());
+        store.save(&dummy(42, 3)).unwrap();
+        store.save(&dummy(42, 6)).unwrap();
+        let fits = |c: &TrainCheckpoint| {
+            if c.t == 6 {
+                Err("generator parameter shape mismatch".to_string())
+            } else {
+                Ok(())
+            }
+        };
+        let recovered = store.load_latest(42, fits).expect("fallback to .prev");
+        assert_eq!(recovered.t, 3);
+        assert!(!path.exists(), "the misfit primary must be moved aside");
+        assert!(sibling(&path, "corrupt-0").exists());
         cleanup(&path);
     }
 
@@ -766,9 +790,9 @@ mod tests {
         let path = scratch_path("ckpt-stale");
         let mut store = CheckpointStore::new(path.clone(), &IoFaultPlan::none());
         store.save(&dummy(1, 3)).unwrap();
-        assert!(store.load_latest(2).is_none());
+        assert!(store.load_latest(2, |_| Ok(())).is_none());
         assert!(path.exists(), "a valid foreign checkpoint is left alone");
-        assert!(!wire::sibling(&path, "corrupt-0").exists());
+        assert!(!sibling(&path, "corrupt-0").exists());
         cleanup(&path);
     }
 
@@ -784,11 +808,13 @@ mod tests {
             store.save(&dummy(5, 3)).unwrap();
             let err = store.save(&dummy(5, 6)).expect_err("fault must fail the save");
             assert!(matches!(err, CheckpointError::Io(_)), "{plan:?}: {err}");
-            let survivor = store.load_latest(5).expect("last-good checkpoint");
+            let survivor = store
+                .load_latest(5, |_| Ok(()))
+                .expect("last-good checkpoint");
             assert_eq!(survivor.t, 3, "{plan:?} must leave the old checkpoint");
             // The fault fired once: the same save index stays quiet now.
             store.save(&dummy(5, 9)).unwrap();
-            assert_eq!(store.load_latest(5).unwrap().t, 9);
+            assert_eq!(store.load_latest(5, |_| Ok(())).unwrap().t, 9);
             cleanup(&path);
         }
     }
@@ -799,15 +825,15 @@ mod tests {
         let mut store = CheckpointStore::new(path.clone(), &IoFaultPlan::bit_flip_at(1, 91));
         store.save(&dummy(5, 3)).unwrap();
         store.save(&dummy(5, 6)).expect("bit flip is silent at save time");
-        let recovered = store.load_latest(5).expect("fallback");
+        let recovered = store.load_latest(5, |_| Ok(())).expect("fallback");
         assert_eq!(recovered.t, 3, "checksum must reject the flipped primary");
-        assert!(wire::sibling(&path, "corrupt-0").exists());
+        assert!(sibling(&path, "corrupt-0").exists());
         cleanup(&path);
     }
 
     fn cleanup(path: &Path) {
         for ext in ["tmp", "prev", "corrupt-0", "corrupt-1"] {
-            let _ = std::fs::remove_file(wire::sibling(path, ext));
+            let _ = std::fs::remove_file(sibling(path, ext));
         }
         let _ = std::fs::remove_file(path);
     }

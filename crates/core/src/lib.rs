@@ -36,7 +36,6 @@ pub mod sampler;
 pub mod stream_data;
 pub mod synthesizer;
 pub mod train;
-mod wire;
 
 pub use checkpoint::{config_fingerprint, scratch_path, CheckpointError, CheckpointPlan};
 pub use config::{

@@ -18,16 +18,15 @@
 use crate::config::{
     DiscriminatorKind, DpConfig, LossKind, NetworkKind, SynthesizerConfig, TrainConfig,
 };
-use crate::generator::{CnnGenerator, Generator, LstmGenerator, MlpGenerator};
-use crate::synthesizer::{FittedSynthesizer, SampleCodec};
+use crate::synthesizer::{build_generator, FittedSynthesizer, SampleCodec};
 use crate::train::TrainingRun;
-use crate::wire::{atomic_write, crc64, Reader, Writer};
 use daisy_data::{
     AttrType, Attribute, AttributeCodec, CategoricalEncoding, Gmm1d, MatrixCellParam,
     MatrixCodec, NumericalNormalization, RecordCodec, Schema, TransformConfig,
 };
 use daisy_nn::restore;
-use daisy_tensor::{Rng, Tensor};
+use daisy_tensor::{Param, Rng, Tensor};
+use daisy_wire::{atomic_write, crc64, Reader, Writer};
 use std::path::Path;
 
 use daisy_wire::magic::{SYNTH as MAGIC, SYNTH_FOOTER as FOOTER_MAGIC};
@@ -36,7 +35,7 @@ use daisy_wire::magic::{SYNTH as MAGIC, SYNTH_FOOTER as FOOTER_MAGIC};
 pub type PersistError = String;
 
 // ---------------------------------------------------------------------
-// component encoders (primitives live in `crate::wire`)
+// component encoders (primitives live in `daisy_wire`)
 // ---------------------------------------------------------------------
 
 fn write_schema(w: &mut Writer, schema: &Schema) {
@@ -281,6 +280,32 @@ pub(crate) fn config_bytes(cfg: &SynthesizerConfig) -> Vec<u8> {
     w.buf
 }
 
+/// Checks that `got` has the tensor count and shapes (`want`) the
+/// architecture it is about to be restored into expects.
+pub(crate) fn check_shapes(
+    what: &str,
+    want: impl IntoIterator<Item = Vec<usize>>,
+    got: &[Tensor],
+) -> Result<(), String> {
+    let want: Vec<Vec<usize>> = want.into_iter().collect();
+    if want.len() != got.len() {
+        return Err(format!(
+            "{what} count mismatch: file has {}, architecture needs {}",
+            got.len(),
+            want.len()
+        ));
+    }
+    for (shape, t) in want.iter().zip(got) {
+        if shape != t.shape() {
+            return Err(format!(
+                "{what} shape mismatch: file {:?}, architecture {shape:?}",
+                t.shape()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Appends the whole-file integrity footer: `DAISYCRC` + CRC-64 of
 /// every preceding byte.
 fn seal(mut buf: Vec<u8>) -> Vec<u8> {
@@ -433,77 +458,28 @@ impl FittedSynthesizer {
         let state: Result<Vec<Tensor>, _> = (0..n_state).map(|_| r.tensor()).collect();
         let state = state?;
 
-        // Rebuild the generator architecture, then overwrite its weights.
+        // Rebuild the generator architecture, then overwrite its weights
+        // and state — after checking every saved shape, because the
+        // setters assert and a re-sealed file must not panic the loader.
         let cond_dim = if config.train.conditional {
             label_dist.len()
         } else {
             0
         };
-        let blocks = match &codec {
-            SampleCodec::Record(c) => c.output_blocks(),
-            SampleCodec::Matrix(_) => Vec::new(),
-        };
         let mut rng = Rng::seed_from_u64(config.seed);
-        let g_bn = config.g_batchnorm && !config.train.conditional;
-        let generator: Box<dyn Generator> = match config.network {
-            NetworkKind::Mlp => Box::new(MlpGenerator::with_options(
-                config.noise_dim,
-                cond_dim,
-                &config.g_hidden,
-                blocks,
-                g_bn,
-                &mut rng,
-            )),
-            NetworkKind::Lstm => {
-                let hidden = config.g_hidden.first().copied().unwrap_or(64);
-                let f_dim = config.g_hidden.get(1).copied().unwrap_or(hidden / 2).max(4);
-                Box::new(LstmGenerator::new(
-                    config.noise_dim,
-                    cond_dim,
-                    hidden,
-                    f_dim,
-                    blocks,
-                    &mut rng,
-                ))
-            }
-            NetworkKind::Cnn => {
-                let SampleCodec::Matrix(m) = &codec else {
-                    return Err("CNN model without a matrix codec".to_string());
-                };
-                Box::new(CnnGenerator::new(
-                    config.noise_dim,
-                    config.cnn_channels,
-                    m.side(),
-                    &mut rng,
-                ))
-            }
-        };
+        let generator = build_generator(&config, &codec, cond_dim, &mut rng)?;
         let params = generator.params();
-        if params.len() != saved.len() {
-            return Err(format!(
-                "parameter count mismatch: file has {}, architecture needs {}",
-                saved.len(),
-                params.len()
-            ));
-        }
-        for (p, t) in params.iter().zip(&saved) {
-            if p.shape() != t.shape() {
-                return Err(format!(
-                    "parameter shape mismatch: file {:?}, architecture {:?}",
-                    t.shape(),
-                    p.shape()
-                ));
-            }
-        }
+        check_shapes("parameter", params.iter().map(Param::shape), &saved)?;
+        check_shapes(
+            "state",
+            generator.state().iter().map(|t| t.shape().to_vec()),
+            &state,
+        )?;
         restore(&params, &saved);
-        if generator.state().len() != state.len() {
-            return Err(format!(
-                "state count mismatch: file has {}, architecture needs {}",
-                state.len(),
-                generator.state().len()
-            ));
-        }
         generator.set_state(&state);
+        // A loaded model only generates: eval mode, set once here, so
+        // generation never writes to a model other threads may share.
+        generator.set_training(false);
 
         Ok(FittedSynthesizer {
             codec,
@@ -616,6 +592,32 @@ mod tests {
         let mid = bytes.len() / 3;
         bytes.truncate(mid);
         assert!(FittedSynthesizer::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn resealed_model_with_a_misshapen_state_tensor_is_a_typed_error() {
+        // The CRC is no secret: anyone can edit a model and re-seal it.
+        // A BatchNorm running variance stored as [1, 16] instead of [16]
+        // must be refused before `set_state`, whose asserts would panic.
+        let table = tiny_table(120, 8);
+        let mut cfg = quick(NetworkKind::Mlp, false);
+        cfg.g_hidden = vec![16];
+        let fitted = Synthesizer::fit(&table, &cfg);
+        let state = fitted.generator.state();
+        let var = state.last().expect("the MLP generator has BatchNorm state");
+        assert_eq!(var.shape(), &[16]);
+        let bytes = fitted.to_bytes();
+        let mut last = Writer::default();
+        last.tensor(var);
+        let body = bytes.len() - FOOTER_MAGIC.len() - 8 - last.buf.len();
+        let mut w = Writer {
+            buf: bytes[..body].to_vec(),
+        };
+        w.tensor(&var.reshape(&[1, 16]));
+        let Err(err) = FittedSynthesizer::from_bytes(&seal(w.buf)) else {
+            panic!("a misshapen state tensor was accepted");
+        };
+        assert!(err.contains("state shape mismatch"), "{err}");
     }
 
     #[test]

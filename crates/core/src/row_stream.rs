@@ -12,10 +12,12 @@
 //! Every stream owns a private RNG seeded from the request, so any
 //! request `{seed, n_rows, condition?}` is independently reproducible:
 //! same inputs → bit-identical rows, at any thread count, regardless of
-//! what other streams run concurrently. [`FittedSynthesizer::generate`]
-//! is itself implemented over a stream, which pins the two code paths
-//! together: a streamed request equals the batch API row for row by
-//! construction, not by convention.
+//! what other streams run concurrently. A stream only reads the model
+//! (a fitted or loaded generator is already in eval mode), so streams
+//! on different threads can share one `FittedSynthesizer`.
+//! [`FittedSynthesizer::generate`] is itself implemented over a stream,
+//! which pins the two code paths together: a streamed request equals
+//! the batch API row for row by construction, not by convention.
 
 use crate::synthesizer::{FittedSynthesizer, GENERATION_BATCH};
 use daisy_data::{Column, Table, Value};
@@ -55,7 +57,6 @@ impl<'a> RowStream<'a> {
         rng: Rng,
         condition: Option<u32>,
     ) -> Self {
-        synth.generator.set_training(false);
         RowStream {
             synth,
             rng,
@@ -260,8 +261,9 @@ impl FittedSynthesizer {
         daisy_nn::num_params(&self.generator.params())
     }
 
-    /// Resident bytes of the generator weights — what one decoded
-    /// serving replica costs in memory, before batch buffers.
+    /// Resident bytes of the generator weights — what the one decoded
+    /// model of a serving process costs in memory, before batch
+    /// buffers.
     pub fn param_bytes(&self) -> usize {
         daisy_nn::params_bytes(&self.generator.params())
     }

@@ -11,7 +11,7 @@ use crate::guard::{GuardConfig, TrainError, TrainOutcome};
 use crate::output_head::softmax_spans;
 use crate::sampler::TrainingData;
 use crate::train::{train_gan_checkpointed, EpochStats, TrainingRun};
-use daisy_data::{Column, MatrixCodec, RecordCodec, Schema, Table};
+use daisy_data::{Column, MatrixCodec, OutputBlock, RecordCodec, Schema, Table};
 use daisy_nn::restore;
 use daisy_telemetry::{field, schema};
 use daisy_tensor::{Rng, Tensor};
@@ -91,6 +91,64 @@ impl SampleCodec {
             }
         }
     }
+
+    /// Output blocks of vector-formed samples (the generator's softmax
+    /// heads); matrix-formed samples have none.
+    fn output_blocks(&self) -> Vec<OutputBlock> {
+        match self {
+            SampleCodec::Record(c) => c.output_blocks(),
+            SampleCodec::Matrix(_) => Vec::new(),
+        }
+    }
+}
+
+/// Builds the generator architecture `config` names, with fresh
+/// weights drawn from `rng`. Fitting trains it; model loading
+/// overwrites its weights with the saved ones.
+pub(crate) fn build_generator(
+    config: &SynthesizerConfig,
+    codec: &SampleCodec,
+    cond_dim: usize,
+    rng: &mut Rng,
+) -> Result<Box<dyn Generator + Send + Sync>, String> {
+    // BatchNorm is disabled for conditional training: Algorithm 3's
+    // pure-label minibatches make batch statistics label-dependent,
+    // which mismatches the blended running statistics used at
+    // generation time (see `SynthesizerConfig::g_batchnorm`).
+    let g_bn = config.g_batchnorm && !config.train.conditional;
+    Ok(match config.network {
+        NetworkKind::Mlp => Box::new(MlpGenerator::with_options(
+            config.noise_dim,
+            cond_dim,
+            &config.g_hidden,
+            codec.output_blocks(),
+            g_bn,
+            rng,
+        )),
+        NetworkKind::Lstm => {
+            let hidden = config.g_hidden.first().copied().unwrap_or(64);
+            let f_dim = config.g_hidden.get(1).copied().unwrap_or(hidden / 2).max(4);
+            Box::new(LstmGenerator::new(
+                config.noise_dim,
+                cond_dim,
+                hidden,
+                f_dim,
+                codec.output_blocks(),
+                rng,
+            ))
+        }
+        NetworkKind::Cnn => {
+            let SampleCodec::Matrix(m) = codec else {
+                return Err("CNN model without a matrix codec".to_string());
+            };
+            Box::new(CnnGenerator::new(
+                config.noise_dim,
+                config.cnn_channels,
+                m.side(),
+                rng,
+            ))
+        }
+    })
 }
 
 /// A trained synthesizer: Phase III generation plus training telemetry.
@@ -103,7 +161,7 @@ impl SampleCodec {
 /// feature↔label consistency instead of merely copying a label block.
 pub struct FittedSynthesizer {
     pub(crate) codec: SampleCodec,
-    pub(crate) generator: Box<dyn Generator>,
+    pub(crate) generator: Box<dyn Generator + Send + Sync>,
     pub(crate) config: SynthesizerConfig,
     /// Empirical label distribution of the training table (used to draw
     /// conditions at generation time).
@@ -416,49 +474,10 @@ impl Synthesizer {
         };
 
         // Networks.
-        let blocks = match &codec {
-            SampleCodec::Record(c) => c.output_blocks(),
-            SampleCodec::Matrix(_) => Vec::new(),
-        };
+        let blocks = codec.output_blocks();
         let spans = softmax_spans(&blocks);
-        // BatchNorm is disabled for conditional training: Algorithm 3's
-        // pure-label minibatches make batch statistics label-dependent,
-        // which mismatches the blended running statistics used at
-        // generation time (see `SynthesizerConfig::g_batchnorm`).
-        let g_bn = config.g_batchnorm && !conditional;
-        let generator: Box<dyn Generator> = match config.network {
-            NetworkKind::Mlp => Box::new(MlpGenerator::with_options(
-                config.noise_dim,
-                cond_dim,
-                &config.g_hidden,
-                blocks.clone(),
-                g_bn,
-                &mut rng,
-            )),
-            NetworkKind::Lstm => {
-                let hidden = config.g_hidden.first().copied().unwrap_or(64);
-                let f_dim = config.g_hidden.get(1).copied().unwrap_or(hidden / 2).max(4);
-                Box::new(LstmGenerator::new(
-                    config.noise_dim,
-                    cond_dim,
-                    hidden,
-                    f_dim,
-                    blocks.clone(),
-                    &mut rng,
-                ))
-            }
-            NetworkKind::Cnn => {
-                let SampleCodec::Matrix(m) = &codec else {
-                    unreachable!()
-                };
-                Box::new(CnnGenerator::new(
-                    config.noise_dim,
-                    config.cnn_channels,
-                    m.side(),
-                    &mut rng,
-                ))
-            }
-        };
+        let generator = build_generator(config, &codec, cond_dim, &mut rng)
+            .map_err(TrainError::InvalidConfig)?;
         let d_hidden = config.effective_d_hidden();
         let pac = config.train.pac.max(1);
         if pac > 1 && config.discriminator != DiscriminatorKind::Mlp {
@@ -478,12 +497,7 @@ impl Synthesizer {
                     "LSTM discriminator requires vector-formed samples"
                 );
                 let hidden = d_hidden.first().copied().unwrap_or(64);
-                Box::new(LstmDiscriminator::new(
-                    blocks.clone(),
-                    cond_dim,
-                    hidden,
-                    &mut rng,
-                ))
+                Box::new(LstmDiscriminator::new(blocks, cond_dim, hidden, &mut rng))
             }
             DiscriminatorKind::Cnn => {
                 let SampleCodec::Matrix(m) = &codec else {

@@ -32,6 +32,7 @@ use crate::generator::Generator;
 use crate::guard::{
     GuardConfig, RecoveryAction, RecoveryEvent, TrainError, TrainGuard, TrainOutcome, TripReason,
 };
+use crate::persist::check_shapes;
 use crate::sampler::{BatchSource, Minibatch};
 use daisy_nn::loss::{batch_distribution, empirical_distribution, kl_divergence};
 use daisy_nn::{
@@ -39,7 +40,7 @@ use daisy_nn::{
     zero_grads, Adam, Optimizer, RmsProp,
 };
 use daisy_telemetry::{field, schema};
-use daisy_tensor::{Rng, Tensor, Var};
+use daisy_tensor::{Param, Rng, Tensor, Var};
 
 /// Emits the typed `recovery` event for one recovery-trace entry.
 /// Exactly one event per entry: every push onto `outcome.recoveries`
@@ -160,6 +161,43 @@ fn build_optimizers(
             Box::new(RmsProp::new(d.params(), lr_d)),
         ),
     }
+}
+
+/// Checks that every tensor a checkpoint would restore has the count
+/// and shape the live networks and optimizers expect. The restore
+/// setters assert, so a CRC-valid checkpoint that does not fit (a
+/// re-sealed edit) must be refused here, as corruption.
+fn checkpoint_fits(
+    c: &TrainCheckpoint,
+    g: &dyn Generator,
+    d: &dyn Discriminator,
+) -> Result<(), String> {
+    let shapes = |ts: Vec<Tensor>| ts.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>();
+    let g_params: Vec<Vec<usize>> = g.params().iter().map(Param::shape).collect();
+    // Optimizer state layout depends on the loss family the checkpoint
+    // trained under (a WTrain escalation switches Adam to RMSProp).
+    let (opt_g, opt_d) = build_optimizers(c.loss, g, d, 0.0, 0.0);
+    check_shapes("generator parameter", g_params.clone(), &c.g_params)?;
+    check_shapes("generator state", shapes(g.state()), &c.g_state)?;
+    check_shapes(
+        "discriminator parameter",
+        d.params().iter().map(Param::shape),
+        &c.d_params,
+    )?;
+    check_shapes("discriminator state", shapes(d.state()), &c.d_state)?;
+    check_shapes("generator optimizer", shapes(opt_g.state()), &c.opt_g)?;
+    check_shapes("discriminator optimizer", shapes(opt_d.state()), &c.opt_d)?;
+    for snap in &c.snapshots {
+        check_shapes("snapshot", g_params.clone(), snap)?;
+    }
+    if c.d_rng.len() != d.rng_states().len() {
+        return Err(format!(
+            "discriminator rng count mismatch: file has {}, architecture needs {}",
+            c.d_rng.len(),
+            d.rng_states().len()
+        ));
+    }
+    Ok(())
 }
 
 /// Generates `rows` samples for the mode-collapse probe. Conditional
@@ -300,7 +338,7 @@ pub fn train_gan_checkpointed(
         .as_ref()
         .map(|p| CheckpointStore::new(p.clone(), &ckpt.io_faults));
     if let Some(store) = store.as_ref() {
-        if let Some(c) = store.load_latest(ckpt.fingerprint) {
+        if let Some(c) = store.load_latest(ckpt.fingerprint, |c| checkpoint_fits(c, g, d)) {
             // Restore the *complete* state captured at the boundary:
             // anything short of this list (weights alone, say) would
             // replay a different trajectory than the uninterrupted run.
@@ -1395,5 +1433,46 @@ mod tests {
         .unwrap();
         assert!(res.outcome.is_clean());
         assert_eq!(res.outcome.completed_epochs, 2);
+    }
+
+    #[test]
+    fn resume_quarantines_a_resealed_checkpoint_that_does_not_fit() {
+        // CRC-valid sections, right fingerprint, but a BatchNorm running
+        // variance of shape [1, 16] instead of [16]: restoring it would
+        // panic in `set_state`. It must be quarantined like a corrupt
+        // file, and the rerun must train from scratch.
+        use crate::checkpoint::scratch_path;
+        use crate::synthesizer::Synthesizer;
+        let table = tiny_table(200, 12);
+        let mut cfg = SynthesizerConfig::new(
+            NetworkKind::Mlp,
+            TrainConfig {
+                batch_size: 16,
+                epochs: 3,
+                ..TrainConfig::vtrain(9)
+            },
+        );
+        cfg.g_hidden = vec![16];
+        cfg.d_hidden = vec![16];
+        let path = scratch_path("ckpt-misfit-resume");
+        let fit = |plan: &CheckpointPlan| {
+            Synthesizer::try_fit_checkpointed(&table, &cfg, &test_guard(), &FaultPlan::none(), plan)
+        };
+        let killed = fit(&CheckpointPlan::at(&path).kill_at(4));
+        assert!(matches!(killed, Err(TrainError::Interrupted { .. })));
+        let mut ckpt = TrainCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        let var = ckpt.g_state.pop().expect("the MLP generator has BatchNorm state");
+        assert_eq!(var.shape(), &[16]);
+        ckpt.g_state.push(var.reshape(&[1, 16]));
+        std::fs::write(&path, ckpt.to_bytes()).unwrap();
+
+        let resumed = fit(&CheckpointPlan::at(&path)).expect("the misfit is skipped, not restored");
+        assert!(daisy_wire::sibling(&path, "corrupt-0").exists());
+        let fresh = fit(&CheckpointPlan::disabled()).unwrap();
+        assert_eq!(resumed.to_bytes(), fresh.to_bytes(), "trained from scratch");
+        for ext in ["corrupt-0", "prev", "tmp"] {
+            let _ = std::fs::remove_file(daisy_wire::sibling(&path, ext));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

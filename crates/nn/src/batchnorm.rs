@@ -8,21 +8,27 @@
 
 use crate::module::Module;
 use daisy_tensor::{Param, Tensor, Var};
-use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{RwLock, RwLockReadGuard};
 
 /// Batch normalization over the feature axis of `[B, D]` inputs.
 ///
 /// In training mode the layer normalizes with batch statistics and
 /// maintains exponential running averages; in eval mode it uses the
 /// running averages, so single-record generation behaves sensibly.
+/// Eval-mode forward passes only read the layer, so a trained layer can
+/// serve many threads at once.
 pub struct BatchNorm1d {
     gamma: Param,
     beta: Param,
-    running_mean: RefCell<Tensor>,
-    running_var: RefCell<Tensor>,
+    /// Running `(mean, variance)`: the eval-mode statistics, swapped
+    /// together under one lock.
+    running: RwLock<(Tensor, Tensor)>,
     momentum: f32,
     eps: f32,
-    training: Cell<bool>,
+    /// `Relaxed` suffices: the flag publishes no other data, and the
+    /// mode is set before a model is shared across threads.
+    training: AtomicBool,
     features: usize,
 }
 
@@ -32,11 +38,10 @@ impl BatchNorm1d {
         BatchNorm1d {
             gamma: Param::new(Tensor::ones(&[features])),
             beta: Param::new(Tensor::zeros(&[features])),
-            running_mean: RefCell::new(Tensor::zeros(&[features])),
-            running_var: RefCell::new(Tensor::ones(&[features])),
+            running: RwLock::new((Tensor::zeros(&[features]), Tensor::ones(&[features]))),
             momentum: 0.1,
             eps: 1e-5,
-            training: Cell::new(true),
+            training: AtomicBool::new(true),
             features,
         }
     }
@@ -46,22 +51,27 @@ impl BatchNorm1d {
         self.features
     }
 
+    /// The running statistics; a poisoned lock still holds well-formed
+    /// ones, since every write stores whole tensors of the right shape.
+    fn running(&self) -> RwLockReadGuard<'_, (Tensor, Tensor)> {
+        self.running.read().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Current running mean (eval-mode statistics).
     pub fn running_mean(&self) -> Tensor {
-        self.running_mean.borrow().clone()
+        self.running().0.clone()
     }
 
     /// Current running variance.
     pub fn running_var(&self) -> Tensor {
-        self.running_var.borrow().clone()
+        self.running().1.clone()
     }
 
     /// Overwrites the running statistics (model persistence / transfer).
     pub fn set_running_stats(&self, mean: Tensor, var: Tensor) {
         assert_eq!(mean.shape(), &[self.features], "running mean shape");
         assert_eq!(var.shape(), &[self.features], "running var shape");
-        *self.running_mean.borrow_mut() = mean;
-        *self.running_var.borrow_mut() = var;
+        *self.running.write().unwrap_or_else(|e| e.into_inner()) = (mean, var);
     }
 }
 
@@ -73,26 +83,23 @@ impl Module for BatchNorm1d {
             "BatchNorm1d expected [B, {}]",
             self.features
         );
-        let (mean, var_stat) = if self.training.get() && input.shape()[0] > 1 {
+        let (mean, var_stat) = if self.training.load(Ordering::Relaxed) && input.shape()[0] > 1 {
             // Differentiable batch statistics.
             let mean = input.mean_axis0();
             let centered = input.sub_row(&mean);
             let var_stat = centered.sqr().mean_axis0();
             // Update running averages from detached values.
             let m = self.momentum;
-            {
-                let mut rm = self.running_mean.borrow_mut();
-                *rm = rm.mul_scalar(1.0 - m).add(&mean.value().mul_scalar(m));
-                let mut rv = self.running_var.borrow_mut();
-                *rv = rv
-                    .mul_scalar(1.0 - m)
-                    .add(&var_stat.value().mul_scalar(m));
-            }
+            let mut running = self.running.write().unwrap_or_else(|e| e.into_inner());
+            let (rm, rv) = &mut *running;
+            *rm = rm.mul_scalar(1.0 - m).add(&mean.value().mul_scalar(m));
+            *rv = rv.mul_scalar(1.0 - m).add(&var_stat.value().mul_scalar(m));
             (mean, var_stat)
         } else {
+            let running = self.running();
             (
-                Var::constant(self.running_mean.borrow().clone()),
-                Var::constant(self.running_var.borrow().clone()),
+                Var::constant(running.0.clone()),
+                Var::constant(running.1.clone()),
             )
         };
         let std = var_stat.add_scalar(self.eps).sqrt();
@@ -108,7 +115,7 @@ impl Module for BatchNorm1d {
     }
 
     fn set_training(&self, training: bool) {
-        self.training.set(training);
+        self.training.store(training, Ordering::Relaxed);
     }
 }
 

@@ -41,9 +41,8 @@ pub fn num_params(params: &[Param]) -> usize {
 }
 
 /// Resident bytes of the parameter values (`f32` scalars). The serving
-/// plane decodes one model replica per connection — this is the number
-/// its per-replica memory accounting multiplies by, and what
-/// `serve_start` reports so operators can size `DAISY_SERVE_MAX_CONN`.
+/// plane holds one decoded model shared by every connection; this is
+/// its weight cost, which `serve_start` and `/healthz` report.
 pub fn params_bytes(params: &[Param]) -> usize {
     num_params(params) * std::mem::size_of::<f32>()
 }

@@ -14,7 +14,7 @@
 //! - `GET /profile` — the hottest phases by self time, human-ordered.
 //! - `POST /reload` — revalidate the model file and hot-swap it in
 //!   ([`crate::SharedModel::reload`]): in-flight streams finish on the
-//!   old model, new connections decode the new one. A corrupt
+//!   old model, new connections serve the new one. A corrupt
 //!   replacement is quarantined and answered with a 500 while the old
 //!   model keeps serving.
 //!
@@ -40,7 +40,6 @@ const PROFILE_TOP_N: usize = 20;
 
 /// The serving process's live state as the admin plane sees it: the
 /// hot-swappable model, the drain lifecycle, and the slot cap.
-#[derive(Debug)]
 pub struct AdminInfo {
     model: Arc<SharedModel>,
     state: Arc<ServeState>,
@@ -175,10 +174,12 @@ pub fn respond(method: &str, path: &str, info: &AdminInfo) -> (u16, String) {
     }
 }
 
-/// The `/healthz` body: identity (live — reflects reloads), lifecycle,
+/// The `/healthz` body: identity (live — reflects reloads, read from
+/// one snapshot so fingerprint and generation always match), lifecycle,
 /// uptime (logical and wall), and load.
 fn healthz_body(info: &AdminInfo) -> String {
-    let facts = info.model.facts();
+    let current = info.model.current();
+    let facts = current.facts;
     let requests = metrics::counter("serve.requests").get();
     let rows = metrics::counter("serve.rows").get();
     let active = metrics::gauge("serve.active_conns").get();
@@ -192,7 +193,7 @@ fn healthz_body(info: &AdminInfo) -> String {
          logical requests={} rows={}\n\
          active_conns {:.0}/{}\n",
         facts.fingerprint,
-        info.model.generation(),
+        current.generation,
         info.state.draining(),
         facts.params,
         facts.bytes,

@@ -1,11 +1,11 @@
 //! # daisy-serve
 //!
-//! The serving plane: a long-lived process that loads one sealed model
-//! file (`core::persist`) and streams synthetic rows to concurrent
-//! clients over a length-prefixed binary protocol (TCP or stdio),
-//! using [`daisy_core::RowStream`] so memory stays bounded by one
-//! generation batch per connection no matter how many rows a request
-//! asks for.
+//! The serving plane: a long-lived process that decodes one sealed model
+//! file (`core::persist`) once and streams synthetic rows from it to
+//! concurrent clients over a length-prefixed binary protocol (TCP or
+//! stdio), using [`daisy_core::RowStream`] so memory stays bounded by
+//! one generation batch per connection no matter how many rows a
+//! request asks for.
 //!
 //! Four contracts define the plane (see `docs/SERVING.md` for the
 //! full runbook):
@@ -19,13 +19,14 @@
 //!   the response. `start_row` makes the contract *resumable*: the
 //!   concatenated row payloads of any split of a stream into resumed
 //!   fetches equal one uninterrupted fetch.
-//! - **Bounded memory.** The server never materializes a table. Each
-//!   connection holds one decoded model replica plus one
-//!   `GENERATION_BATCH`-row frame; concurrency is capped by
-//!   `DAISY_SERVE_MAX_CONN` slots acquired *before* `accept`, so
-//!   excess clients queue in the TCP backlog instead of growing the
-//!   heap (or, with `DAISY_SERVE_SHED=1`, are rejected with a typed
-//!   "overloaded" header).
+//! - **Bounded memory.** The server never materializes a table. It
+//!   holds one decoded model, shared by every connection, and each
+//!   connection holds one `GENERATION_BATCH`-row frame; concurrency is
+//!   capped by `DAISY_SERVE_MAX_CONN` slots — the accept loop waits for
+//!   a free slot, then accepts and takes it — so excess clients queue
+//!   in the TCP backlog instead of growing the heap (or, with
+//!   `DAISY_SERVE_SHED=1`, are rejected with a typed "overloaded"
+//!   header).
 //! - **Typed failure.** A corrupt model file is quarantined
 //!   (`*.corrupt-N`) and reported as [`ServeError::CorruptModel`];
 //!   an invalid request is answered with an error header on the wire,

@@ -20,7 +20,7 @@ use daisy_wire::{crc64, quarantine, Crc64, Writer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Accept-loop poll interval: how often the nonblocking listener
@@ -37,10 +37,10 @@ const DRAIN_STRAGGLER_GRACE_MS: f64 = 500.0;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Concurrent connection slots (`DAISY_SERVE_MAX_CONN`, default 4).
-    /// Each slot costs one decoded model replica plus one generation
-    /// batch of buffers; slots are acquired before `accept`, so excess
-    /// clients wait in the TCP backlog (or are shed, see
-    /// [`ServeConfig::shed`]).
+    /// Connections share the one decoded model, so a slot costs one
+    /// generation batch of buffers. The accept loop waits for a free
+    /// slot, then accepts and takes it, so excess clients wait in the
+    /// TCP backlog (or are shed, see [`ServeConfig::shed`]).
     pub max_conn: usize,
     /// Per-request row cap (`DAISY_SERVE_MAX_ROWS`, default 100
     /// million). Requests above it are rejected with a typed error
@@ -151,18 +151,29 @@ fn parse_env_allow_zero(name: &str) -> Option<u64> {
 /// forensics) and the error is returned typed — a serve process never
 /// starts on, or panics over, a rotten model.
 ///
-/// Returns the raw validated bytes alongside the decoded synthesizer:
-/// the accept loop shares the bytes (`Arc<Vec<u8>>`) across
-/// connections and each connection decodes its own replica, because
-/// decoded models hold `Rc`-based parameters that must stay
-/// thread-local.
+/// Returns the raw validated bytes (the model's fingerprint is their
+/// CRC-64) alongside the decoded synthesizer.
 pub fn load_model(path: &Path) -> Result<(Vec<u8>, FittedSynthesizer), ServeError> {
+    decode_or_quarantine(path, || false)
+}
+
+/// [`load_model`], except that a corrupt file stays in place, reported
+/// as `quarantined: None`, when `fail_quarantine()` says the rename
+/// fails (the injected disk-full fault).
+fn decode_or_quarantine(
+    path: &Path,
+    fail_quarantine: impl FnOnce() -> bool,
+) -> Result<(Vec<u8>, FittedSynthesizer), ServeError> {
     let bytes = std::fs::read(path)?;
     match FittedSynthesizer::from_bytes(&bytes) {
         Ok(model) => Ok((bytes, model)),
         Err(error) => Err(ServeError::CorruptModel {
             error,
-            quarantined: quarantine(path),
+            quarantined: if fail_quarantine() {
+                None
+            } else {
+                quarantine(path)
+            },
         }),
     }
 }
@@ -212,7 +223,7 @@ pub struct ModelFacts {
     pub fingerprint: u64,
     /// Trainable parameter count.
     pub params: usize,
-    /// Parameter bytes (one decoded replica's weight cost).
+    /// Parameter bytes: the weight cost of the one decoded model.
     pub bytes: usize,
     /// Output columns.
     pub columns: usize,
@@ -220,29 +231,43 @@ pub struct ModelFacts {
     pub conditional: bool,
 }
 
-fn model_facts(bytes: &[u8], model: &FittedSynthesizer) -> ModelFacts {
-    ModelFacts {
-        fingerprint: crc64(bytes),
-        params: model.param_count(),
-        bytes: model.param_bytes(),
-        columns: model.output_template().n_attrs(),
-        conditional: model.is_conditional(),
+/// One decoded model plus its identity — the unit a [`SharedModel`]
+/// swaps, so a reader never pairs one model's fingerprint with
+/// another's generation.
+pub(crate) struct ActiveModel {
+    pub(crate) model: FittedSynthesizer,
+    pub(crate) facts: ModelFacts,
+    /// Reload generation that swapped this model in (0 = bind; each
+    /// successful reload adds one).
+    pub(crate) generation: u64,
+}
+
+impl ActiveModel {
+    fn new(bytes: &[u8], model: FittedSynthesizer, generation: u64) -> ActiveModel {
+        ActiveModel {
+            facts: ModelFacts {
+                fingerprint: crc64(bytes),
+                params: model.param_count(),
+                bytes: model.param_bytes(),
+                columns: model.output_template().n_attrs(),
+                conditional: model.is_conditional(),
+            },
+            model,
+            generation,
+        }
     }
 }
 
-/// The `Arc`'d model bytes behind the accept loop, swappable at
-/// runtime: `POST /reload` on the admin plane (or
-/// [`SharedModel::reload`] directly) revalidates the model file and
-/// atomically replaces the bytes new connections decode. Connections
-/// already serving keep their clone of the old `Arc`, so in-flight
-/// streams finish on the model they started with — the response stays
-/// a pure function of (model, request) even across a reload.
-#[derive(Debug)]
+/// The server's one decoded model, swappable at runtime: `POST /reload`
+/// on the admin plane (or [`SharedModel::reload`] directly) decodes the
+/// model file once and swaps it in with one `Arc` store. Every
+/// connection takes the current `Arc` at accept and serves from it, so
+/// in-flight streams finish on the model they started with — the
+/// response stays a pure function of (model, request) even across a
+/// reload.
 pub struct SharedModel {
     path: PathBuf,
-    bytes: Mutex<Arc<Vec<u8>>>,
-    facts: Mutex<ModelFacts>,
-    generation: AtomicU64,
+    active: Mutex<Arc<ActiveModel>>,
     /// Armed by the fault plan: the next reload-failure quarantine
     /// behaves as if the rename failed (disk full), exercising the
     /// `quarantined: None` path without touching the filesystem.
@@ -264,35 +289,29 @@ pub struct ReloadReport {
 impl SharedModel {
     /// Loads and validates `path` (quarantining a corrupt file, see
     /// [`load_model`]) into a swappable shared model.
-    pub fn load(path: &Path) -> Result<(Arc<SharedModel>, FittedSynthesizer), ServeError> {
+    pub fn load(path: &Path) -> Result<Arc<SharedModel>, ServeError> {
         let (bytes, model) = load_model(path)?;
-        let facts = model_facts(&bytes, &model);
-        Ok((
-            Arc::new(SharedModel {
-                path: path.to_path_buf(),
-                bytes: Mutex::new(Arc::new(bytes)),
-                facts: Mutex::new(facts),
-                generation: AtomicU64::new(0),
-                quarantine_fault: AtomicBool::new(false),
-            }),
-            model,
-        ))
+        Ok(Arc::new(SharedModel {
+            path: path.to_path_buf(),
+            active: Mutex::new(Arc::new(ActiveModel::new(&bytes, model, 0))),
+            quarantine_fault: AtomicBool::new(false),
+        }))
     }
 
-    /// The currently active model bytes. Connections clone this `Arc`
-    /// once at accept, pinning their replica across any later reload.
-    pub fn current(&self) -> Arc<Vec<u8>> {
-        Arc::clone(&self.bytes.lock().unwrap_or_else(|e| e.into_inner()))
+    /// The active model with its identity. Connections take this `Arc`
+    /// once at accept, pinning their model across any later reload.
+    pub(crate) fn current(&self) -> Arc<ActiveModel> {
+        Arc::clone(&self.active.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Identity of the currently active model.
     pub fn facts(&self) -> ModelFacts {
-        *self.facts.lock().unwrap_or_else(|e| e.into_inner())
+        self.current().facts
     }
 
     /// Successful reloads since bind.
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
+        self.current().generation
     }
 
     /// The model file path this shared model reloads from.
@@ -306,50 +325,37 @@ impl SharedModel {
         self.quarantine_fault.store(true, Ordering::Relaxed);
     }
 
-    /// Re-reads and revalidates the model file, atomically swapping it
-    /// in on success. On a corrupt replacement the file is quarantined
+    /// Re-reads and revalidates the model file, swapping it in on
+    /// success. On a corrupt replacement the file is quarantined
     /// (`*.corrupt-N`) and the **old model keeps serving** — a bad
     /// push can cost at most the reload attempt, never the fleet.
     /// Either way the attempt is recorded (`serve.reloads` /
     /// [`schema::SERVE_RELOAD`]).
     pub fn reload(&self) -> Result<ReloadReport, ServeError> {
-        let outcome = std::fs::read(&self.path)
-            .map_err(ServeError::Io)
-            .and_then(|bytes| match FittedSynthesizer::from_bytes(&bytes) {
-                Ok(model) => Ok((bytes, model)),
-                Err(error) => Err(ServeError::CorruptModel {
-                    error,
-                    quarantined: if self.quarantine_fault.swap(false, Ordering::Relaxed) {
-                        None
-                    } else {
-                        quarantine(&self.path)
-                    },
-                }),
-            });
-        let report = match outcome {
-            Ok((bytes, model)) => {
-                let facts = model_facts(&bytes, &model);
-                *self.bytes.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(bytes);
-                *self.facts.lock().unwrap_or_else(|e| e.into_inner()) = facts;
-                let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-                metrics::counter("serve.reloads").add(1);
-                Ok(ReloadReport {
-                    fingerprint: facts.fingerprint,
-                    generation,
-                    params: facts.params,
-                })
+        // Decode outside the lock: connections keep accepting meanwhile.
+        let decoded = decode_or_quarantine(&self.path, || {
+            self.quarantine_fault.swap(false, Ordering::Relaxed)
+        });
+        let report = decoded.map(|(bytes, model)| {
+            let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
+            let next = ActiveModel::new(&bytes, model, active.generation + 1);
+            *active = Arc::new(next);
+            metrics::counter("serve.reloads").add(1);
+            ReloadReport {
+                fingerprint: active.facts.fingerprint,
+                generation: active.generation,
+                params: active.facts.params,
             }
-            Err(e) => Err(e),
-        };
+        });
         if enabled() {
-            let facts = self.facts();
+            let active = self.current();
             emit_event(
                 Event::new(
                     schema::SERVE_RELOAD,
                     vec![
                         field("ok", report.is_ok()),
-                        field("generation", self.generation()),
-                        field("fingerprint", facts.fingerprint),
+                        field("generation", active.generation),
+                        field("fingerprint", active.facts.fingerprint),
                         field(
                             "error",
                             report
@@ -665,7 +671,7 @@ impl Server {
         addr: impl ToSocketAddrs,
         cfg: ServeConfig,
     ) -> Result<Server, ServeError> {
-        let (shared, model) = SharedModel::load(model_path.as_ref())?;
+        let shared = SharedModel::load(model_path.as_ref())?;
         let listener = TcpListener::bind(addr)?;
         register_serve_metrics();
         let state = Arc::new(ServeState::default());
@@ -678,14 +684,15 @@ impl Server {
             None => None,
         };
         if enabled() {
+            let facts = shared.facts();
             emit_event(
                 Event::new(
                     schema::SERVE_START,
                     vec![
-                        field("params", model.param_count()),
-                        field("bytes", model.param_bytes()),
-                        field("columns", model.output_template().n_attrs()),
-                        field("conditional", model.is_conditional()),
+                        field("params", facts.params),
+                        field("bytes", facts.bytes),
+                        field("columns", facts.columns),
+                        field("conditional", facts.conditional),
                         field("max_conn", cfg.max_conn),
                         field("max_rows", cfg.max_rows),
                     ],
@@ -740,13 +747,13 @@ impl Server {
     /// [`ServeState::begin_drain`]).
     ///
     /// Backpressure: `accept` waits for a free connection slot, so at
-    /// most `max_conn` connections are ever live — each holding
-    /// one decoded model replica — and excess clients queue in the
-    /// kernel's TCP backlog at zero heap cost (with
-    /// [`ServeConfig::shed`], they are instead answered with a typed
-    /// `overloaded` rejection). A slot is released when its connection
-    /// thread finishes, including on client disconnect, deadline
-    /// expiry, or protocol error.
+    /// most `max_conn` connections are ever live — all serving the one
+    /// shared model, each with one generation batch of buffers — and
+    /// excess clients queue in the kernel's TCP backlog at zero heap
+    /// cost (with [`ServeConfig::shed`], they are instead answered with
+    /// a typed `overloaded` rejection). A slot is released when its
+    /// connection thread finishes, including on client disconnect,
+    /// deadline expiry, or protocol error.
     ///
     /// On drain: in-flight requests get [`ServeConfig::drain_ms`] to
     /// finish, stragglers seal their streams with a draining end
@@ -795,26 +802,14 @@ impl Server {
                 stream.set_read_timeout(deadline)?;
                 stream.set_write_timeout(deadline)?;
             }
-            let guard = match self.try_acquire_slot() {
-                Some(guard) => guard,
-                None if self.cfg.shed => {
-                    shed_connection(stream, &self.cfg);
-                    continue;
-                }
-                // Unreachable in practice — capacity was observed just
-                // above and this loop is the only acquirer — but if it
-                // ever happens, park like the backlog would have.
-                None => loop {
-                    if self.drain_requested() {
-                        break 'accept; // drops the accepted stream
-                    }
-                    match self.try_acquire_slot() {
-                        Some(guard) => break guard,
-                        None => sleep_ms(ACCEPT_POLL_MS),
-                    }
-                },
+            // Only shed mode can find every slot busy here: slot-gated
+            // mode saw free capacity above, and slots only free up
+            // behind its back.
+            let Some(guard) = self.try_acquire_slot() else {
+                shed_connection(stream, &self.cfg);
+                continue;
             };
-            let model_bytes = self.model.current();
+            let active = self.model.current();
             let cfg = self.cfg.clone();
             let state = Arc::clone(&self.state);
             let conn = conn_id;
@@ -825,7 +820,7 @@ impl Server {
             // daisy-lint: allow(D003) -- connection threads; responses are reproducible by per-request seeding, not scheduling
             std::thread::spawn(move || {
                 let _guard = guard;
-                serve_tcp_connection(&model_bytes, conn, &cfg, &state, stream);
+                serve_tcp_connection(&active.model, conn, &cfg, &state, stream);
             });
         }
         self.drain();
@@ -937,28 +932,19 @@ fn is_deadline(e: &ServeError) -> bool {
     )
 }
 
-/// Decodes a thread-local model replica and runs the request loop on
-/// one TCP connection. Errors end the connection (the slot frees via
-/// the caller's guard), never the server.
+/// Runs the request loop on one TCP connection. Errors end the
+/// connection (the slot frees via the caller's guard), never the
+/// server.
 fn serve_tcp_connection(
-    model_bytes: &[u8],
+    model: &FittedSynthesizer,
     conn: u64,
     cfg: &ServeConfig,
     state: &ServeState,
     stream: TcpStream,
 ) {
-    let model = match FittedSynthesizer::from_bytes(model_bytes) {
-        Ok(model) => model,
-        // Unreachable in practice: the bytes were validated at bind or
-        // reload.
-        Err(e) => {
-            eprintln!("connection {conn}: model replica decode failed: {e}");
-            return;
-        }
-    };
     let mut reader = &stream;
     let mut writer = &stream;
-    if let Err(e) = serve_connection(&model, conn, cfg, state, &mut reader, &mut writer) {
+    if let Err(e) = serve_connection(model, conn, cfg, state, &mut reader, &mut writer) {
         if is_deadline(&e) {
             // A stalled peer hit the per-connection deadline: count the
             // eviction — the slot frees right after this returns.

@@ -14,23 +14,27 @@
 //!
 //! ## Parallelism
 //!
-//! The graph itself is single-threaded by design (`Rc`/`RefCell`
-//! nodes); parallelism lives *inside* the tensor kernels each node
-//! calls. The backward walk therefore parallelizes automatically: the
-//! matmul backward runs the row-partitioned `matmul_nt`/`matmul_tn`,
+//! The graph itself is single-threaded by design (`Rc` nodes, built
+//! per thread); parallelism lives *inside* the tensor kernels each
+//! node calls. The backward walk therefore parallelizes automatically:
+//! the matmul backward runs the row-partitioned `matmul_nt`/`matmul_tn`,
 //! the conv backward runs the batch-parallel gradient primitives, and
 //! elementwise backward closures run the chunked `map`/`zip` — all on
 //! the worker pool in [`crate::pool`], all bit-identical for any
 //! thread count.
+//!
+//! [`Param`]s, unlike graph nodes, are `Send + Sync` (an `Arc` over a
+//! locked value and gradient): a trained model can be shared by many
+//! threads, each building its own forward graph over the same weights.
 
 use crate::conv::{
     conv2d, conv2d_grad_input, conv2d_grad_weight, conv_out_dim, conv_transpose_out_dim,
 };
 use crate::tensor::Tensor;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -42,15 +46,22 @@ fn fresh_id() -> u64 {
 ///
 /// Modules hold `Param`s; every forward pass lifts them into graph
 /// leaves with [`Param::var`], and `backward` deposits gradients here,
-/// where optimizers read them.
+/// where optimizers read them. Handles are cheap `Arc` clones that may
+/// cross threads; the value sits behind a reader-writer lock so
+/// concurrent forward passes over a shared model never wait on each
+/// other.
+///
+/// A thread that panics while holding a lock poisons it; the handle
+/// keeps serving the stored tensor anyway (`into_inner`), since every
+/// write replaces or updates a whole, shape-checked tensor.
 #[derive(Clone)]
 pub struct Param {
-    inner: Rc<ParamInner>,
+    inner: Arc<ParamInner>,
 }
 
 struct ParamInner {
-    value: RefCell<Tensor>,
-    grad: RefCell<Tensor>,
+    value: RwLock<Tensor>,
+    grad: Mutex<Tensor>,
 }
 
 impl Param {
@@ -58,54 +69,62 @@ impl Param {
     pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
         Param {
-            inner: Rc::new(ParamInner {
-                value: RefCell::new(value),
-                grad: RefCell::new(grad),
+            inner: Arc::new(ParamInner {
+                value: RwLock::new(value),
+                grad: Mutex::new(grad),
             }),
         }
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, Tensor> {
+        self.inner.value.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Tensor> {
+        self.inner.value.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn grad_lock(&self) -> MutexGuard<'_, Tensor> {
+        self.inner.grad.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Snapshot of the current value.
     pub fn value(&self) -> Tensor {
-        self.inner.value.borrow().clone()
+        self.read().clone()
     }
 
     /// Shape of the parameter.
     pub fn shape(&self) -> Vec<usize> {
-        self.inner.value.borrow().shape().to_vec()
+        self.read().shape().to_vec()
     }
 
     /// Number of scalar weights.
     pub fn numel(&self) -> usize {
-        self.inner.value.borrow().numel()
+        self.read().numel()
     }
 
     /// Snapshot of the accumulated gradient.
     pub fn grad(&self) -> Tensor {
-        self.inner.grad.borrow().clone()
+        self.grad_lock().clone()
     }
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
-        self.inner.grad.borrow_mut().fill(0.0);
+        self.grad_lock().fill(0.0);
     }
 
     /// Applies an in-place update `value = f(value, grad)`.
     pub fn update(&self, f: impl FnOnce(&mut Tensor, &Tensor)) {
-        let grad = self.inner.grad.borrow();
-        let mut value = self.inner.value.borrow_mut();
-        f(&mut value, &grad);
+        let grad = self.grad_lock();
+        f(&mut self.write(), &grad);
     }
 
     /// Overwrites the value (used by weight clipping and checkpoint
     /// restore).
     pub fn set_value(&self, value: Tensor) {
-        assert_eq!(
-            value.shape(),
-            self.inner.value.borrow().shape(),
-            "set_value shape mismatch"
-        );
-        *self.inner.value.borrow_mut() = value;
+        let mut current = self.write();
+        assert_eq!(value.shape(), current.shape(), "set_value shape mismatch");
+        *current = value;
     }
 
     /// Lifts the parameter into a computation graph leaf.
@@ -114,18 +133,18 @@ impl Param {
     }
 
     fn accumulate(&self, grad: &Tensor) {
-        self.inner.grad.borrow_mut().add_assign(grad);
+        self.grad_lock().add_assign(grad);
     }
 
     /// True if both handles refer to the same underlying parameter.
     pub fn ptr_eq(&self, other: &Param) -> bool {
-        Rc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
 impl std::fmt::Debug for Param {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Param{:?}", self.inner.value.borrow().shape())
+        write!(f, "Param{:?}", self.read().shape())
     }
 }
 

@@ -10,8 +10,6 @@
 //! the model plane (`daisy-core`'s persisted synthesizers and training
 //! checkpoints) share one encoding discipline: integers, tensors, and
 //! torn/corrupted-file detection cannot drift apart between formats.
-//! `daisy-core` re-exports everything here through `core::wire` for its
-//! internal callers.
 //!
 //! Every on-disk format built on this crate follows the same contract:
 //!
@@ -286,13 +284,16 @@ impl<'a> Reader<'a> {
         let n = self.len()?;
         (0..n).map(|_| self.usize()).collect()
     }
-    /// Reads a tensor written by [`Writer::tensor`].
+    /// Reads a tensor written by [`Writer::tensor`]. The element count
+    /// is computed with overflow checks, so a shape whose product wraps
+    /// `usize` is an error rather than a tensor over too few values.
     pub fn tensor(&mut self) -> Result<Tensor, WireError> {
         let shape = self.usizes()?;
-        let numel: usize = shape.iter().product();
-        if numel * 4 > self.buf.len() {
-            return Err("implausible tensor size".to_string());
-        }
+        let numel = shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .filter(|&n| n <= self.buf.len() / 4)
+            .ok_or_else(|| format!("implausible tensor shape {shape:?}"))?;
         let data: Result<Vec<f32>, _> = (0..numel).map(|_| self.f32()).collect();
         Ok(Tensor::from_vec(data?, &shape))
     }
@@ -469,6 +470,20 @@ mod tests {
         // The temp file does not linger.
         assert!(!sibling(&path, "tmp").exists());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn tensor_shape_overflow_is_a_typed_error() {
+        // 2^33 × 2^31 = 2^64 elements: the product wraps `usize` to 0.
+        let mut w = Writer::default();
+        w.usizes(&[1 << 33, 1 << 31]);
+        let err = Reader::new(&w.buf).tensor().expect_err("overflowing shape");
+        assert!(err.contains("implausible tensor shape"), "{err}");
+        // A shape that does not overflow but outruns the buffer, too.
+        let mut w = Writer::default();
+        w.usizes(&[4, 4]);
+        w.f32(1.0);
+        assert!(Reader::new(&w.buf).tensor().is_err());
     }
 
     #[test]
