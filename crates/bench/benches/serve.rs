@@ -120,7 +120,7 @@ fn bench_report(host_cores: usize) -> Json {
         (
             "generated_by".to_string(),
             Json::Str(
-                "DAISY_BENCH_JSON=BENCH_serve.json cargo bench -p daisy-bench --bench serve"
+                "DAISY_BENCH_JSON=$PWD/BENCH_serve.json cargo bench -p daisy-bench --bench serve"
                     .to_string(),
             ),
         ),

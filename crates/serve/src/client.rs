@@ -19,8 +19,8 @@
 //!   `tests/serve_chaos.rs` enforces).
 
 use crate::proto::{
-    read_frame, write_frame, ColumnSpec, EndFrame, Header, Request, MAGIC_DATA, MAGIC_END,
-    MAGIC_HEADER, MAX_RESPONSE_FRAME,
+    read_frame, write_frame, ColumnSpec, EndFrame, Header, Request, FRAME_ROWS, MAGIC_DATA,
+    MAGIC_END, MAGIC_HEADER, MAX_RESPONSE_FRAME,
 };
 use crate::ServeError;
 use daisy_data::Value;
@@ -179,13 +179,30 @@ impl StreamDecoder {
         }
         let mut r = Reader::new(&body[4..]);
         let first_row = r.u64().map_err(ServeError::Protocol)?;
-        let n = r.u64().map_err(ServeError::Protocol)? as usize;
+        let n = r.u64().map_err(ServeError::Protocol)?;
         if first_row != self.next_row {
             return Err(ServeError::Protocol(format!(
                 "data frame starts at row {first_row}, expected {}",
                 self.next_row
             )));
         }
+        // The row count sizes the payload and the row buffer below, so
+        // it is checked before either is computed.
+        if n > FRAME_ROWS as u64 {
+            return Err(ServeError::Protocol(format!(
+                "data frame claims {n} rows; a frame holds at most {FRAME_ROWS}"
+            )));
+        }
+        if first_row
+            .checked_add(n)
+            .is_none_or(|end| end > accepted.n_rows)
+        {
+            return Err(ServeError::Protocol(format!(
+                "data frame of {n} rows at row {first_row} runs past the stream's {} rows",
+                accepted.n_rows
+            )));
+        }
+        let n = n as usize;
         let payload = r
             .take(n * self.row_bytes)
             .map_err(|e| ServeError::Protocol(format!("short data frame: {e}")))?;
@@ -586,6 +603,75 @@ mod tests {
             (0..8).map(|r| policy.backoff_ms(r)).collect::<Vec<_>>(),
             (0..8).map(|r| other.backoff_ms(r)).collect::<Vec<_>>()
         );
+    }
+
+    /// A CRC-framed response: an accepted header over `columns` for an
+    /// `n_rows` stream, then one data frame at row 0 that claims
+    /// `claimed` rows and carries `payload`.
+    fn crafted_response(
+        columns: Vec<ColumnSpec>,
+        n_rows: u64,
+        claimed: u64,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let header = Header::Accepted {
+            seed: 1,
+            n_rows,
+            start_row: 0,
+            condition: None,
+            columns,
+        };
+        let mut data = daisy_wire::Writer::default();
+        data.buf.extend_from_slice(MAGIC_DATA);
+        data.u64(0);
+        data.u64(claimed);
+        data.buf.extend_from_slice(payload);
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &header.encode()).expect("writing to a Vec cannot fail");
+        write_frame(&mut bytes, &data.buf).expect("writing to a Vec cannot fail");
+        bytes
+    }
+
+    fn expect_protocol_error(bytes: &[u8], needle: &str) {
+        match decode_response(bytes) {
+            Err(ServeError::Protocol(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected a protocol error naming {needle:?}, got {other:?}"),
+        }
+    }
+
+    fn one_num_column() -> Vec<ColumnSpec> {
+        vec![ColumnSpec::Num {
+            name: "x".to_string(),
+        }]
+    }
+
+    #[test]
+    fn zero_width_rows_cannot_claim_terabytes() {
+        // Zero columns make every row zero bytes, so 2^40 rows "fit" in
+        // an empty payload; the row buffer alone would need 26 TB.
+        expect_protocol_error(&crafted_response(vec![], 1 << 41, 1 << 40, &[]), "at most");
+    }
+
+    #[test]
+    fn a_row_count_that_wraps_the_payload_size_is_rejected() {
+        // With 8-byte rows, 2^61 + 1 rows wrap the payload size to 8.
+        let bytes = crafted_response(one_num_column(), u64::MAX, (1 << 61) + 1, &[0u8; 8]);
+        expect_protocol_error(&bytes, "at most");
+    }
+
+    #[test]
+    fn a_data_frame_may_not_run_past_the_advertised_total() {
+        let bytes = crafted_response(one_num_column(), 10, 11, &[0u8; 88]);
+        expect_protocol_error(&bytes, "runs past");
+        // The same frame within the total decodes.
+        let mut ok = crafted_response(one_num_column(), 11, 11, &[0u8; 88]);
+        let end = EndFrame {
+            end_row: 11,
+            payload_crc: daisy_wire::crc64(&[0u8; 88]),
+            flags: 0,
+        };
+        write_frame(&mut ok, &end.encode()).expect("writing to a Vec cannot fail");
+        assert_eq!(decode_response(&ok).expect("valid stream").rows.len(), 11);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //! - **Bounded memory.** The server never materializes a table. It
 //!   holds one decoded model, shared by every connection, and each
 //!   connection holds one `GENERATION_BATCH`-row frame; concurrency is
-//!   capped by `DAISY_SERVE_MAX_CONN` slots — the accept loop waits for
-//!   a free slot, then accepts and takes it — so excess clients queue
-//!   in the TCP backlog instead of growing the heap (or, with
-//!   `DAISY_SERVE_SHED=1`, are rejected with a typed "overloaded"
-//!   header).
+//!   capped by `DAISY_SERVE_MAX_CONN` slots — with every slot held the
+//!   accept loop sleeps until a connection ends and frees one, then
+//!   accepts and takes it — so excess clients queue in the TCP backlog
+//!   instead of growing the heap (or, with `DAISY_SERVE_SHED=1`, are
+//!   rejected with a typed "overloaded" header).
 //! - **Typed failure.** A corrupt model file is quarantined
 //!   (`*.corrupt-N`) and reported as [`ServeError::CorruptModel`];
 //!   an invalid request is answered with an error header on the wire,
@@ -39,6 +39,11 @@
 //!   in-flight requests finishing on the old model. The [`fault`]
 //!   module injects the network's failure modes deterministically so
 //!   every one of those paths is testable.
+//!
+//! No request waits on a timer: the accept loop blocks in `accept` (a
+//! drain wakes it with one connection to the listener's own address),
+//! and every frame is one write on a `TCP_NODELAY` socket, so it
+//! leaves as soon as it is generated.
 //!
 //! ```no_run
 //! use daisy_serve::{Request, Server, ServeConfig};

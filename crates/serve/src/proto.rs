@@ -77,11 +77,16 @@ pub(crate) use daisy_wire::magic::{
 /// the RNG contract already fixes).
 pub(crate) const FRAME_ROWS: usize = GENERATION_BATCH;
 
-/// Writes one CRC-sealed frame (`[len][crc64][body]`) to `w`.
+/// Writes one CRC-sealed frame (`[len][crc64][body]`) to `w` with a
+/// single `write_all`. On a socket the frame then leaves as soon as it
+/// is written: three small writes would let Nagle's algorithm hold the
+/// frame's tail until the peer acknowledged its head.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(body.len() as u64).to_le_bytes())?;
-    w.write_all(&crc64(body).to_le_bytes())?;
-    w.write_all(body)
+    let mut frame = Vec::with_capacity(16 + body.len());
+    frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&crc64(body).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
 }
 
 /// Reads one CRC-sealed frame body from `r`, enforcing `max` on the

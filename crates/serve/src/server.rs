@@ -18,14 +18,26 @@ use daisy_telemetry::{
 };
 use daisy_wire::{crc64, quarantine, Crc64, Writer};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex};
 
-/// Accept-loop poll interval: how often the nonblocking listener
-/// re-checks for connections, free slots, and the drain flag.
+/// How late the serving lifecycle may notice what no event signals:
+/// the lifecycle thread looks at the SIGTERM flag, and a slot wait at
+/// the drain flag, this often, so a drain is seen within this many
+/// milliseconds. Nothing on the request path waits for it: `accept`
+/// blocks until a connection (or a drain's wake connection) arrives,
+/// and a freed slot wakes the slot wait at once. The drain also
+/// re-checks for finished connections at this interval.
 const ACCEPT_POLL_MS: u64 = 5;
+
+/// Bound on the drain's wake connection. A local connect completes at
+/// once unless the backlog is full, and then `accept` has connections
+/// to return anyway, so the bound only caps how long
+/// [`ServeState::begin_drain`] can take.
+const WAKE_CONNECT_MS: u64 = 1_000;
 
 /// After the drain window expires, how long the accept loop waits for
 /// connection threads to seal their streams with draining end frames
@@ -38,9 +50,10 @@ const DRAIN_STRAGGLER_GRACE_MS: f64 = 500.0;
 pub struct ServeConfig {
     /// Concurrent connection slots (`DAISY_SERVE_MAX_CONN`, default 4).
     /// Connections share the one decoded model, so a slot costs one
-    /// generation batch of buffers. The accept loop waits for a free
-    /// slot, then accepts and takes it, so excess clients wait in the
-    /// TCP backlog (or are shed, see [`ServeConfig::shed`]).
+    /// generation batch of buffers and its thread's working set. When
+    /// every slot is held the accept loop sleeps until a connection
+    /// ends and frees one, then accepts and takes it, so excess clients
+    /// wait in the TCP backlog (or are shed, see [`ServeConfig::shed`]).
     pub max_conn: usize,
     /// Per-request row cap (`DAISY_SERVE_MAX_ROWS`, default 100
     /// million). Requests above it are rejected with a typed error
@@ -187,26 +200,41 @@ fn decode_or_quarantine(
 pub struct ServeState {
     draining: AtomicBool,
     drain_expired: AtomicBool,
+    /// The serving listener's own address (loopback when it is bound to
+    /// an unspecified address); `None` without a listener.
+    wake: Option<SocketAddr>,
 }
 
 impl ServeState {
     /// Enters the draining phase: the accept loop stops taking
     /// connections and every *new* request is rejected with a typed
     /// `draining` header, while requests already streaming continue.
+    ///
+    /// The first call on a server's state also connects once to the
+    /// server's own listener: the accept loop blocks in `accept`, and
+    /// that connection wakes it to see the drain. The accept loop
+    /// closes it unserved.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Relaxed);
+        // SeqCst: the flag must be visible to the accept loop by the
+        // time the wake connection reaches it.
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(addr) = self.wake {
+            let _ = TcpStream::connect_timeout(&addr, duration_ms(WAKE_CONNECT_MS));
+        }
     }
 
     /// True once a drain has begun.
     pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::Relaxed)
+        self.draining.load(Ordering::SeqCst)
     }
 
     /// Marks the drain window expired: in-flight streams seal
     /// themselves with a draining end frame at the next batch
-    /// boundary.
+    /// boundary. Begins the drain first if it has not begun.
     pub fn expire_drain(&self) {
-        self.draining.store(true, Ordering::Relaxed);
+        self.begin_drain();
         self.drain_expired.store(true, Ordering::Relaxed);
     }
 
@@ -654,7 +682,31 @@ pub struct Server {
     cfg: ServeConfig,
     admin_addr: Option<SocketAddr>,
     state: Arc<ServeState>,
-    slots: Arc<Mutex<usize>>,
+    slots: Arc<Slots>,
+}
+
+/// Connection slots held, and the condition a freed slot signals.
+#[derive(Default)]
+struct Slots {
+    held: Mutex<usize>,
+    freed: Condvar,
+}
+
+impl Slots {
+    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.held.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// The address [`ServeState::begin_drain`] connects to: the listener's
+/// own, with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 impl Server {
@@ -674,7 +726,10 @@ impl Server {
         let shared = SharedModel::load(model_path.as_ref())?;
         let listener = TcpListener::bind(addr)?;
         register_serve_metrics();
-        let state = Arc::new(ServeState::default());
+        let state = Arc::new(ServeState {
+            wake: Some(wake_addr(listener.local_addr()?)),
+            ..ServeState::default()
+        });
         let admin_addr = match &cfg.admin_addr {
             Some(admin) => {
                 let info = AdminInfo::new(Arc::clone(&shared), Arc::clone(&state), cfg.max_conn);
@@ -706,7 +761,7 @@ impl Server {
             cfg,
             admin_addr,
             state,
-            slots: Arc::new(Mutex::new(0)),
+            slots: Arc::default(),
         })
     }
 
@@ -738,7 +793,7 @@ impl Server {
     /// `serve.active_conns` gauge is process-global; this count is
     /// per-instance, which is what leak tests want).
     pub fn active_connections(&self) -> usize {
-        *self.slots.lock().unwrap_or_else(|e| e.into_inner())
+        *self.slots.lock()
     }
 
     /// Accepts and serves connections until the listener fails or a
@@ -746,23 +801,62 @@ impl Server {
     /// [`shutdown::install_sigterm_handler`], or
     /// [`ServeState::begin_drain`]).
     ///
+    /// The loop blocks in `accept`; nothing on the request path waits
+    /// for a timer. A drain wakes it with one connection to the
+    /// listener's own address ([`ServeState::begin_drain`]), and while
+    /// `run` is live a small lifecycle thread turns the SIGTERM flag
+    /// into that drain, so a drain is seen within a few milliseconds.
+    ///
     /// Backpressure: `accept` waits for a free connection slot, so at
     /// most `max_conn` connections are ever live — all serving the one
     /// shared model, each with one generation batch of buffers — and
     /// excess clients queue in the kernel's TCP backlog at zero heap
     /// cost (with [`ServeConfig::shed`], they are instead answered with
-    /// a typed `overloaded` rejection). A slot is released when its
-    /// connection thread finishes, including on client disconnect,
-    /// deadline expiry, or protocol error.
+    /// a typed `overloaded` rejection). A slot is released, and the
+    /// waiting accept loop woken, when its connection thread finishes,
+    /// including on client disconnect, deadline expiry, or protocol
+    /// error.
     ///
     /// On drain: in-flight requests get [`ServeConfig::drain_ms`] to
     /// finish, stragglers seal their streams with a draining end
     /// frame, and `run` returns `Ok(())` — the CLI then exits with the
     /// documented code (143).
     pub fn run(&self) -> Result<(), ServeError> {
-        self.listener.set_nonblocking(true)?;
+        std::thread::scope(|scope| {
+            let (accepting, accept_ended) = mpsc::channel::<()>();
+            // daisy-lint: allow(D003) -- lifecycle thread; only turns the SIGTERM flag into a drain, no request work runs on it
+            scope.spawn(move || self.watch_sigterm(&accept_ended));
+            // Dropped when the accept loop ends — returning, failing or
+            // panicking — which ends the lifecycle thread too.
+            let _accepting = accepting;
+            self.accept_loop()
+        })?;
+        self.drain();
+        Ok(())
+    }
+
+    /// The lifecycle thread: a signal handler can only set a flag, so
+    /// this looks at it every [`ACCEPT_POLL_MS`] and begins the drain,
+    /// whose wake connection returns the blocked `accept`. Ends when
+    /// the accept loop drops its end of `accept_ended`.
+    fn watch_sigterm(&self, accept_ended: &mpsc::Receiver<()>) {
+        while let Err(RecvTimeoutError::Timeout) =
+            accept_ended.recv_timeout(duration_ms(ACCEPT_POLL_MS))
+        {
+            if shutdown::sigterm_received() {
+                // Propagate the signal into the shared state so
+                // connection threads and the admin plane see it too.
+                self.state.begin_drain();
+                return;
+            }
+        }
+    }
+
+    /// Accepts until a drain begins, spawning one thread per accepted
+    /// connection.
+    fn accept_loop(&self) -> Result<(), ServeError> {
         let mut conn_id = 0u64;
-        'accept: loop {
+        loop {
             // Slot-gated mode parks excess clients in the TCP backlog:
             // wait until a slot is free before accepting (the slot
             // itself is acquired after accept — this loop is the sole
@@ -772,31 +866,20 @@ impl Server {
             // Shed mode accepts immediately and rejects when no slot
             // frees instantly.
             if !self.cfg.shed {
-                loop {
-                    if self.drain_requested() {
-                        break 'accept;
-                    }
-                    if self.active_connections() < self.cfg.max_conn {
-                        break;
-                    }
-                    sleep_ms(ACCEPT_POLL_MS);
-                }
+                self.wait_for_slot();
             }
-            let stream = loop {
-                if self.drain_requested() {
-                    break 'accept;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => break stream,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        sleep_ms(ACCEPT_POLL_MS)
-                    }
-                    Err(e) => return Err(ServeError::Io(e)),
-                }
-            };
-            // The listener is nonblocking; the accepted stream must not
-            // inherit that (reads would spin instead of block).
-            stream.set_nonblocking(false)?;
+            if self.state.draining() {
+                return Ok(());
+            }
+            let (stream, _peer) = self.listener.accept()?;
+            if self.state.draining() {
+                // The drain's wake connection, or a client that raced
+                // it: accepting has stopped, so it closes unserved.
+                return Ok(());
+            }
+            // Each frame is one write (`write_frame`); without Nagle's
+            // algorithm it leaves as soon as it is written.
+            stream.set_nodelay(true)?;
             if self.cfg.timeout_ms > 0 {
                 let deadline = Some(duration_ms(self.cfg.timeout_ms));
                 stream.set_read_timeout(deadline)?;
@@ -823,8 +906,21 @@ impl Server {
                 serve_tcp_connection(&active.model, conn, &cfg, &state, stream);
             });
         }
-        self.drain();
-        Ok(())
+    }
+
+    /// Blocks until a slot is free or a drain has begun. A finished
+    /// connection wakes the wait at once ([`SlotGuard`]'s drop); the
+    /// drain flag is looked at every [`ACCEPT_POLL_MS`].
+    fn wait_for_slot(&self) {
+        let mut held = self.slots.lock();
+        while *held >= self.cfg.max_conn && !self.state.draining() {
+            held = self
+                .slots
+                .freed
+                .wait_timeout(held, duration_ms(ACCEPT_POLL_MS))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
     }
 
     /// Lets in-flight connections finish inside the drain window, then
@@ -859,17 +955,8 @@ impl Server {
         }
     }
 
-    fn drain_requested(&self) -> bool {
-        if shutdown::sigterm_received() {
-            // Propagate the signal into the shared state so connection
-            // threads and the admin plane see it too.
-            self.state.begin_drain();
-        }
-        self.state.draining()
-    }
-
     fn try_acquire_slot(&self) -> Option<SlotGuard> {
-        let mut held = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut held = self.slots.lock();
         if *held >= self.cfg.max_conn {
             return None;
         }
@@ -904,19 +991,20 @@ fn shed_connection(mut stream: TcpStream, cfg: &ServeConfig) {
     while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
-/// Releases a connection slot (and updates the active-connections
-/// gauge) when the connection thread exits for any reason — normal
-/// completion, client disconnect, deadline expiry, protocol error, or
-/// panic.
+/// Releases a connection slot (updating the active-connections gauge
+/// and waking an accept loop that waits for a slot) when the
+/// connection thread exits for any reason — normal completion, client
+/// disconnect, deadline expiry, protocol error, or panic.
 struct SlotGuard {
-    slots: Arc<Mutex<usize>>,
+    slots: Arc<Slots>,
 }
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
-        let mut held = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut held = self.slots.lock();
         *held = held.saturating_sub(1);
         metrics::gauge("serve.active_conns").set(*held as f64);
+        self.slots.freed.notify_one();
     }
 }
 

@@ -8,7 +8,10 @@
 //! dependency-free, so this module carries the one audited `unsafe`
 //! block in the crate: a `libc`-free `signal(2)` declaration whose
 //! handler does the only async-signal-safe thing possible — set a
-//! relaxed [`AtomicBool`] the accept loop polls.
+//! relaxed [`AtomicBool`]. While [`crate::Server::run`] is live, a
+//! small lifecycle thread looks at the flag every few milliseconds and
+//! begins the drain, whose wake connection returns the accept loop from
+//! its blocking `accept`.
 //!
 //! On non-Unix targets [`install_sigterm_handler`] is a no-op and the
 //! process keeps the platform's default termination behavior.
@@ -16,7 +19,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by the signal handler (or [`request_drain_for_tests`]); polled
-/// by the accept loop.
+/// by the server's lifecycle thread.
 static SIGTERM: AtomicBool = AtomicBool::new(false);
 
 /// True once SIGTERM has been observed (or a test requested a drain).

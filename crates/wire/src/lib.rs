@@ -209,14 +209,13 @@ impl<'a> Reader<'a> {
     }
     /// Takes the next `n` bytes, or a truncation error.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!(
-                "truncated file: needed {n} bytes at offset {}",
-                self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or_else(|| format!("truncated file: needed {n} bytes at offset {}", self.pos))?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
     /// True when every byte has been consumed.
@@ -484,6 +483,16 @@ mod tests {
         w.usizes(&[4, 4]);
         w.f32(1.0);
         assert!(Reader::new(&w.buf).tensor().is_err());
+    }
+
+    #[test]
+    fn take_near_usize_max_is_a_truncation_error() {
+        let mut r = Reader::new(b"abcd");
+        r.take(1).expect("one byte");
+        // pos + n overflows usize: a typed error, not a panic or a wrap.
+        let err = r.take(usize::MAX).expect_err("overflowing take");
+        assert!(err.contains("truncated"), "{err}");
+        assert_eq!(r.take(3).expect("the reader is unmoved"), b"bcd");
     }
 
     #[test]
