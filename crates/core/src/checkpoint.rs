@@ -11,30 +11,28 @@
 //! so a resumed run replays the remaining steps bit-identically to a
 //! run that was never interrupted.
 //!
-//! Durability comes from the classic write-to-temp → fsync → atomic
-//! rename discipline (`daisy_wire::atomic_write`'s protocol, plus a
-//! last-good rotation): the previous checkpoint is renamed to `.prev`
-//! before the new one lands, so at every instant the disk holds at
-//! least one complete, verifiable checkpoint. Every section of the file
-//! is CRC-64 framed; a torn or bit-rotted file is detected at load,
-//! reported as a typed [`CheckpointError`], quarantined as
+//! Durability comes from a last-good rotation in front of the classic
+//! write-to-temp → fsync → atomic rename discipline
+//! (`daisy_wire::atomic_write`): the current checkpoint is renamed to
+//! `.prev` before the new one is written, so at every instant the disk
+//! holds at least one complete, verifiable checkpoint. Every section of
+//! the file is CRC-64 framed; a torn or bit-rotted file is detected at
+//! load, reported as a typed [`CheckpointError`], quarantined as
 //! `.corrupt-N`, and skipped in favour of its predecessor — never a
 //! panic, never a silently-wrong resume.
 //!
-//! The write path is fault-injectable ([`IoFaultPlan`]) with the same
-//! deterministic fire-once semantics as [`crate::fault`]'s training
-//! faults, so the recovery behaviour above is exercised by tests rather
-//! than asserted in comments.
+//! Every write, read and quarantine goes through one
+//! [`daisy_wire::ArmedIo`] handle, so the storage faults of an
+//! [`IoFaultPlan`] exercise the recovery behaviour above in tests rather
+//! than in comments.
 
 use crate::config::{LossKind, SynthesizerConfig};
-use crate::fault::{ArmedIoFaults, IoFault, IoFaultPlan};
 use crate::guard::{RecoveryAction, RecoveryEvent, TrainOutcome, TripReason};
 use crate::train::EpochStats;
 use daisy_telemetry::{field, schema};
 use daisy_tensor::{RngState, Tensor};
-use daisy_wire::{crc64, quarantine, sibling, sync_parent_dir, Reader, WireError, Writer};
+use daisy_wire::{crc64, sibling, ArmedIo, IoFault, IoFaultPlan, Reader, WireError, Writer};
 use std::fmt;
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use daisy_wire::magic::CHECKPOINT as MAGIC;
@@ -110,7 +108,8 @@ pub struct CheckpointPlan {
     /// (`config_fingerprint`); leave 0 when driving the trainer
     /// directly without resume-safety concerns.
     pub fingerprint: u64,
-    /// Injected I/O faults for the write path (empty in production).
+    /// Injected storage faults for the store's writes, reads and
+    /// quarantines (empty in production).
     pub io_faults: IoFaultPlan,
 }
 
@@ -150,7 +149,7 @@ impl CheckpointPlan {
         self
     }
 
-    /// Attaches an I/O fault schedule to the write path.
+    /// Attaches a storage-fault schedule to the checkpoint store.
     pub fn with_io_faults(mut self, faults: IoFaultPlan) -> Self {
         self.io_faults = faults;
         self
@@ -479,93 +478,46 @@ impl TrainCheckpoint {
 // ---------------------------------------------------------------------
 
 /// Durable checkpoint storage at a fixed path with last-good rotation
-/// and deterministic I/O fault injection.
+/// and deterministic storage-fault injection.
 pub(crate) struct CheckpointStore {
     path: PathBuf,
-    armed: ArmedIoFaults,
-    saves: usize,
+    io: ArmedIo,
+}
+
+/// Emits the one `fault_fired` event of a storage fault the store's
+/// handle fired.
+fn report_fault(fault: &IoFault) {
+    if daisy_telemetry::enabled() {
+        let (op, index) = fault.index();
+        daisy_telemetry::emit(
+            schema::FAULT_FIRED,
+            vec![field("kind", fault.kind()), field(op, index)],
+        );
+    }
 }
 
 impl CheckpointStore {
     pub(crate) fn new(path: PathBuf, faults: &IoFaultPlan) -> Self {
         CheckpointStore {
             path,
-            armed: ArmedIoFaults::new(faults),
-            saves: 0,
+            io: ArmedIo::new(faults).on_fire(report_fault),
         }
     }
 
-    /// Writes `ckpt` durably: temp file + fsync, rotate the current
-    /// file to `.prev`, atomic rename, fsync the directory. Returns the
-    /// payload size. Scheduled I/O faults fire here (once each, with
-    /// one `fault_fired` telemetry event per firing); on any failure
-    /// the previously-saved checkpoint remains intact and loadable.
+    /// Writes `ckpt` durably: rotate the current file to `.prev`, then
+    /// replace the primary atomically. Returns the payload size. On any
+    /// failure the last good checkpoint remains loadable, as the primary
+    /// or as `.prev`.
     pub(crate) fn save(&mut self, ckpt: &TrainCheckpoint) -> Result<usize, CheckpointError> {
-        let idx = self.saves;
-        self.saves += 1;
         let bytes = ckpt.to_bytes();
-
-        let due = self.armed.take(idx);
-        for f in &due {
-            if daisy_telemetry::enabled() {
-                daisy_telemetry::emit(
-                    schema::FAULT_FIRED,
-                    vec![field("kind", f.kind()), field("save", idx)],
-                );
-            }
-        }
-        let mut torn = None;
-        let mut flip = None;
-        let mut rename_fails = false;
-        for f in due {
-            match f {
-                IoFault::DiskFull { .. } => {
-                    return Err(CheckpointError::Io("disk full (injected)".to_string()));
-                }
-                IoFault::TornWrite { offset, .. } => torn = Some(offset),
-                IoFault::RenameFail { .. } => rename_fails = true,
-                IoFault::BitFlip { offset, .. } => flip = Some(offset),
-            }
-        }
-
         let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
-        let tmp = sibling(&self.path, "tmp");
-        if let Some(offset) = torn {
-            // The crash happens mid-write: a prefix of the temp file
-            // lands, the rename never runs, the main file is untouched.
-            let cut = offset as usize % bytes.len().max(1);
-            let _ = std::fs::write(&tmp, &bytes[..cut]);
-            return Err(CheckpointError::Io(format!(
-                "torn write after {cut} bytes (injected)"
-            )));
-        }
-        {
-            let mut f = std::fs::File::create(&tmp).map_err(io)?;
-            f.write_all(&bytes).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        if rename_fails {
-            return Err(CheckpointError::Io("rename failed (injected)".to_string()));
-        }
         // Last-good rotation: the current checkpoint survives as
         // `.prev` until the *next* save rotates it out, so a bit-rotted
         // primary always has a verified predecessor to fall back to.
         if self.path.exists() {
             std::fs::rename(&self.path, sibling(&self.path, "prev")).map_err(io)?;
         }
-        std::fs::rename(&tmp, &self.path).map_err(io)?;
-        sync_parent_dir(&self.path);
-        if let Some(offset) = flip {
-            // Silent corruption after a successful save: the caller
-            // sees success; only the next load's checksum notices.
-            if let Ok(mut cur) = std::fs::read(&self.path) {
-                if !cur.is_empty() {
-                    let i = offset as usize % cur.len();
-                    cur[i] ^= 0x01;
-                    let _ = std::fs::write(&self.path, cur);
-                }
-            }
-        }
+        self.io.atomic_write(&self.path, &bytes).map_err(io)?;
         Ok(bytes.len())
     }
 
@@ -587,7 +539,7 @@ impl CheckpointStore {
             ("previous", sibling(&self.path, "prev")),
         ];
         for (slot, path) in candidates {
-            let Ok(bytes) = std::fs::read(&path) else {
+            let Ok(bytes) = self.io.read(&path) else {
                 continue;
             };
             let verdict = TrainCheckpoint::from_bytes(&bytes).and_then(|ckpt| {
@@ -601,7 +553,7 @@ impl CheckpointStore {
                 Ok(Some(ckpt)) => return Some(ckpt),
                 Ok(None) => {} // stale configuration: not ours to resume
                 Err(err) => {
-                    quarantine(&path);
+                    self.io.quarantine(&path);
                     if daisy_telemetry::enabled() {
                         daisy_telemetry::emit(
                             schema::CHECKPOINT_CORRUPT_SKIPPED,

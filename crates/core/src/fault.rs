@@ -16,11 +16,10 @@
 //! could ever succeed. A refit (e.g. the simplified-D escalation in
 //! [`crate::Synthesizer::try_fit`]) is a new attempt: the plan re-arms.
 //!
-//! Data-plane faults (torn chunk writes, bit rot on read, full disks,
-//! mid-ingest kills) live in `daisy-data` and are re-exported here so
-//! one import path covers the whole fault surface.
-
-pub use daisy_data::{DataFault, DataFaultPlan};
+//! Storage faults (torn writes, bit rot, failed renames and
+//! quarantines, full disks) are not training faults: every sealed
+//! format meets them through one seam, `daisy_wire::fault`, which the
+//! checkpoint store arms from [`crate::CheckpointPlan::io_faults`].
 
 /// One scheduled fault. `step` counts generator iterations (the
 /// trainer's `t`), starting at 0.
@@ -155,156 +154,6 @@ impl ArmedFaults {
         if fired.len() == self.fired.len() {
             self.fired.copy_from_slice(fired);
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// I/O faults (checkpoint write path)
-// ---------------------------------------------------------------------
-
-/// One scheduled I/O fault against the checkpoint store. `save` counts
-/// checkpoint save operations within one training attempt, starting at
-/// 0 — the I/O analogue of [`Fault`]'s step index. Each models a real
-/// storage failure:
-///
-/// - [`IoFault::TornWrite`]: the process dies (or the disk gives out)
-///   mid-write — only a prefix of the temp file lands on disk and the
-///   atomic rename never happens.
-/// - [`IoFault::BitFlip`]: the save completes, then one byte of the
-///   file rots silently. Detected at the *next load* by the checksum,
-///   quarantined, and the predecessor checkpoint is used instead.
-/// - [`IoFault::RenameFail`]: the temp file is fully written but the
-///   rename into place fails (e.g. the directory vanished).
-/// - [`IoFault::DiskFull`]: the write itself is refused outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFault {
-    /// Truncates the temp-file write at `offset` (modulo the payload
-    /// length) and fails the save.
-    TornWrite {
-        /// Save operation to tear.
-        save: usize,
-        /// Byte offset at which the write is cut short.
-        offset: u64,
-    },
-    /// Completes the save, then flips one bit of the written file at
-    /// `offset` (modulo the file length). The save reports success —
-    /// the corruption is only discoverable by checksum at load time.
-    BitFlip {
-        /// Save operation whose output is corrupted.
-        save: usize,
-        /// Byte offset of the flipped bit.
-        offset: u64,
-    },
-    /// Fails the atomic rename after a complete temp-file write.
-    RenameFail {
-        /// Save operation whose rename fails.
-        save: usize,
-    },
-    /// Fails the save before any byte is written.
-    DiskFull {
-        /// Save operation that is refused.
-        save: usize,
-    },
-}
-
-impl IoFault {
-    /// The save-operation index this fault triggers at.
-    pub fn save(&self) -> usize {
-        match *self {
-            IoFault::TornWrite { save, .. }
-            | IoFault::BitFlip { save, .. }
-            | IoFault::RenameFail { save }
-            | IoFault::DiskFull { save } => save,
-        }
-    }
-
-    /// Machine-readable tag used in `fault_fired` telemetry events.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            IoFault::TornWrite { .. } => "io_torn_write",
-            IoFault::BitFlip { .. } => "io_bit_flip",
-            IoFault::RenameFail { .. } => "io_rename_fail",
-            IoFault::DiskFull { .. } => "io_disk_full",
-        }
-    }
-}
-
-/// A deterministic schedule of I/O faults for one training attempt's
-/// checkpoint store.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IoFaultPlan {
-    faults: Vec<IoFault>,
-}
-
-impl IoFaultPlan {
-    /// The empty plan: no injected I/O faults (production setting).
-    pub fn none() -> Self {
-        IoFaultPlan::default()
-    }
-
-    /// A plan firing the given faults.
-    pub fn new(faults: Vec<IoFault>) -> Self {
-        IoFaultPlan { faults }
-    }
-
-    /// Convenience: tear the `save`-th checkpoint write at `offset`.
-    pub fn torn_write_at(save: usize, offset: u64) -> Self {
-        Self::new(vec![IoFault::TornWrite { save, offset }])
-    }
-
-    /// Convenience: flip a bit of the `save`-th checkpoint at `offset`.
-    pub fn bit_flip_at(save: usize, offset: u64) -> Self {
-        Self::new(vec![IoFault::BitFlip { save, offset }])
-    }
-
-    /// Convenience: fail the `save`-th checkpoint's rename.
-    pub fn rename_fail_at(save: usize) -> Self {
-        Self::new(vec![IoFault::RenameFail { save }])
-    }
-
-    /// Convenience: refuse the `save`-th checkpoint write.
-    pub fn disk_full_at(save: usize) -> Self {
-        Self::new(vec![IoFault::DiskFull { save }])
-    }
-
-    /// True when the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The scheduled faults.
-    pub fn faults(&self) -> &[IoFault] {
-        &self.faults
-    }
-}
-
-/// Per-attempt arming state for I/O faults: each fires at most once.
-#[derive(Debug, Clone)]
-pub(crate) struct ArmedIoFaults {
-    plan: IoFaultPlan,
-    fired: Vec<bool>,
-}
-
-impl ArmedIoFaults {
-    /// Arms every fault of `plan` for a fresh checkpoint store.
-    pub(crate) fn new(plan: &IoFaultPlan) -> Self {
-        ArmedIoFaults {
-            fired: vec![false; plan.faults().len()],
-            plan: plan.clone(),
-        }
-    }
-
-    /// Returns the faults due at save operation `save` that have not
-    /// fired yet, marking them fired.
-    pub(crate) fn take(&mut self, save: usize) -> Vec<IoFault> {
-        let mut due = Vec::new();
-        for (i, f) in self.plan.faults().iter().enumerate() {
-            if !self.fired[i] && f.save() == save {
-                self.fired[i] = true;
-                due.push(*f);
-            }
-        }
-        due
     }
 }
 

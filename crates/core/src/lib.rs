@@ -43,7 +43,7 @@ pub use config::{
 };
 pub use diagnostics::{duplicate_fraction, encoded_duplicate_fraction, is_collapsed};
 pub use discriminator::{CnnDiscriminator, Discriminator, LstmDiscriminator, MlpDiscriminator};
-pub use fault::{DataFault, DataFaultPlan, Fault, FaultPlan, IoFault, IoFaultPlan};
+pub use fault::{Fault, FaultPlan};
 pub use generator::{CnnGenerator, Generator, LstmGenerator, MlpGenerator};
 pub use guard::{
     GuardConfig, RecoveryAction, RecoveryEvent, TrainError, TrainGuard, TrainOutcome, TripReason,

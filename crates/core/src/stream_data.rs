@@ -63,7 +63,10 @@ impl<'a> ChunkedTrainingData<'a> {
     ) -> Result<ChunkedTrainingData<'a>, DataError> {
         let n_rows = source.n_rows();
         let labeled = source.schema().label().is_some();
-        let mut labels: Vec<u32> = Vec::with_capacity(if labeled { n_rows } else { 0 });
+        // Grown from validated chunks, not pre-sized from `n_rows`: a
+        // corrupt row count must end in the chunk's typed error, not in
+        // an allocation failure.
+        let mut labels: Vec<u32> = Vec::new();
         let mut n_classes = 0usize;
         for k in 0..source.n_chunks() {
             let chunk = source.chunk(k)?;

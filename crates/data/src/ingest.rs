@@ -23,18 +23,24 @@
 //! `rejected.txt` with their input line numbers; the journal's
 //! recorded byte offsets let a resume truncate both the journal and
 //! the quarantine file back to the sealed prefix, so their final
-//! content is deterministic too.
+//! content is deterministic too. Rerunning a *completed* ingest
+//! re-checks the sealed chunks and the manifest and repairs whatever
+//! rotted, so a rerun also heals a finished store.
+//!
+//! Every journal, chunk and manifest replacement and every resume read
+//! goes through one [`daisy_wire::ArmedIo`] handle per run, armed from
+//! [`IngestConfig::io_faults`]. The append-only journal records and the
+//! rejected-row ledger are appended in place and stay outside it.
 
 use crate::csv::parse_record;
 use crate::error::DataError;
 use crate::schema::Schema;
 use crate::store::chunk::{self, chunk_file_name};
-use crate::store::fault::ArmedDataFaults;
-use crate::store::{encode_manifest, ChunkMeta, DataFault, DataFaultPlan, MANIFEST_FILE};
+use crate::store::{encode_manifest, report_fault, ChunkMeta, MANIFEST_FILE};
 use crate::table::Column;
 use crate::value::{AttrType, Attribute};
 use daisy_telemetry::{emit, field, schema as tschema};
-use daisy_wire::{atomic_write, crc64, quarantine, sync_parent_dir, Reader, Writer};
+use daisy_wire::{crc64, sync_parent_dir, ArmedIo, IoFaultPlan, Reader, Writer};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -88,8 +94,15 @@ pub struct IngestConfig {
     pub label: Option<String>,
     /// Row-level error policy.
     pub policy: RowErrorPolicy,
-    /// Injected data-plane faults (tests only; empty in production).
-    pub faults: DataFaultPlan,
+    /// Injected storage faults for the run's journal, chunk and
+    /// manifest writes and its resume reads (tests only; empty in
+    /// production).
+    pub io_faults: IoFaultPlan,
+    /// Stop ingestion with [`DataError::Interrupted`] right after
+    /// accepting this row (0-based over accepted rows), losing any
+    /// unsealed chunk — a deterministic stand-in for SIGKILL used by
+    /// the resume tests. `None` in production.
+    pub kill_at_row: Option<usize>,
 }
 
 impl Default for IngestConfig {
@@ -98,7 +111,8 @@ impl Default for IngestConfig {
             chunk_rows: 4096,
             label: None,
             policy: RowErrorPolicy::Strict,
-            faults: DataFaultPlan::none(),
+            io_faults: IoFaultPlan::none(),
+            kill_at_row: None,
         }
     }
 }
@@ -521,7 +535,7 @@ struct IngestState<'a> {
     quarantine_buf: Vec<u8>,
     quarantine_bytes: u64,
     metas: Vec<ChunkMeta>,
-    faults: ArmedDataFaults,
+    io: &'a ArmedIo,
 }
 
 fn fresh_builders(schema: &Schema, dicts: &[Dict]) -> Vec<Column> {
@@ -581,36 +595,8 @@ impl IngestState<'_> {
     fn seal(&mut self) -> Result<(), DataError> {
         let index = self.chunk_index;
         let bytes = chunk::encode_chunk(index, &self.builders);
-        if let Some(f) = self
-            .faults
-            .take(|f| matches!(f, DataFault::DiskFull { chunk } if *chunk == index))
-        {
-            emit(
-                tschema::FAULT_FIRED,
-                vec![field("kind", f.kind()), field("chunk", index)],
-            );
-            return Err(DataError::Io(std::io::Error::other(
-                "injected fault: disk full while sealing chunk",
-            )));
-        }
         let path = self.store_dir.join(chunk_file_name(index));
-        if let Some(f) = self
-            .faults
-            .take(|f| matches!(f, DataFault::TornChunkWrite { chunk } if *chunk == index))
-        {
-            emit(
-                tschema::FAULT_FIRED,
-                vec![field("kind", f.kind()), field("chunk", index)],
-            );
-            // Half the bytes land at the final path and the journal
-            // never hears about the seal — the on-disk state a crash
-            // mid-write leaves behind.
-            std::fs::write(&path, &bytes[..bytes.len() / 2])?;
-            return Err(DataError::Interrupted {
-                rows_ingested: self.rows_total,
-            });
-        }
-        atomic_write(&path, &bytes)?;
+        self.io.atomic_write(&path, &bytes)?;
         self.flush_quarantine()?;
         let rec = ChunkRec {
             index,
@@ -766,13 +752,13 @@ fn run_pass2(
             state.seal()?;
         }
         let accepted_index = state.rows_total - 1;
-        if let Some(f) = state
-            .faults
-            .take(|f| matches!(f, DataFault::KillAtRow { row } if *row == accepted_index))
-        {
+        if state.cfg.kill_at_row == Some(accepted_index) {
             emit(
                 tschema::FAULT_FIRED,
-                vec![field("kind", f.kind()), field("row", accepted_index)],
+                vec![
+                    field("kind", "data_kill_at_row"),
+                    field("row", accepted_index),
+                ],
             );
             return Err(DataError::Interrupted {
                 rows_ingested: state.rows_total,
@@ -792,7 +778,9 @@ fn run_pass2(
         state.cfg.chunk_rows,
         &state.metas,
     );
-    atomic_write(&state.store_dir.join(MANIFEST_FILE), &manifest)?;
+    state
+        .io
+        .atomic_write(&state.store_dir.join(MANIFEST_FILE), &manifest)?;
     let done = DoneRec {
         rows: state.rows_total,
         rejected: state.rejected_total,
@@ -829,17 +817,18 @@ pub fn ingest_csv(
     std::fs::create_dir_all(store_dir)?;
     let journal_path = store_dir.join(JOURNAL_FILE);
     let rejected_path = store_dir.join(REJECTED_FILE);
+    let io = ArmedIo::new(&cfg.io_faults).on_fire(report_fault);
 
     if journal_path.exists() {
-        let journal_bytes = std::fs::read(&journal_path)?;
+        let journal_bytes = io.read(&journal_path)?;
         match parse_journal(&journal_bytes) {
             Some(parsed) => {
-                return resume_ingest(input, store_dir, cfg, parsed, &journal_path, &rejected_path)
+                return resume_ingest(input, store_dir, cfg, &io, parsed, &rejected_path);
             }
             None => {
                 // Unusable journal (foreign bytes, lost header): move
                 // it aside and start over; stale chunks are rewritten.
-                quarantine(&journal_path);
+                io.quarantine(&journal_path);
             }
         }
     }
@@ -856,7 +845,7 @@ pub fn ingest_csv(
     };
     let mut journal = JOURNAL_MAGIC.to_vec();
     journal.extend_from_slice(&encode_header_rec(&header));
-    atomic_write(&journal_path, &journal)?;
+    io.atomic_write(&journal_path, &journal)?;
     // A stale quarantine file from an abandoned run must not leak old
     // rows into the new store's ledger.
     std::fs::write(&rejected_path, b"")?;
@@ -879,20 +868,22 @@ pub fn ingest_csv(
         quarantine_buf: Vec::new(),
         quarantine_bytes: 0,
         metas: Vec::new(),
-        faults: ArmedDataFaults::new(&cfg.faults),
+        io: &io,
     };
     run_pass2(input, &mut state, 1, None)
 }
 
-/// Resumes an interrupted ingest from its parsed journal.
+/// Resumes an interrupted ingest from its journal, or re-checks and
+/// repairs a completed one.
 fn resume_ingest(
     input: &Path,
     store_dir: &Path,
     cfg: &IngestConfig,
+    io: &ArmedIo,
     parsed: ParsedJournal,
-    journal_path: &Path,
     rejected_path: &Path,
 ) -> Result<IngestReport, DataError> {
+    let journal_path = store_dir.join(JOURNAL_FILE);
     // The journal only speaks for the exact input and configuration it
     // was written under.
     let input_len = std::fs::metadata(input)?.len();
@@ -916,45 +907,21 @@ fn resume_ingest(
         });
     }
 
-    // A completed ingest is idempotent: rebuild the manifest if it
-    // went missing and report without touching anything else.
-    if let Some(done) = parsed.done {
-        let manifest_path = store_dir.join(MANIFEST_FILE);
-        if !manifest_path.exists() {
-            let metas: Vec<ChunkMeta> = parsed
-                .chunks
-                .iter()
-                .map(|c| ChunkMeta {
-                    rows: c.rows,
-                    crc: c.file_crc,
-                })
-                .collect();
-            let bytes = encode_manifest(&h.schema, &h.dicts, h.chunk_rows, &metas);
-            atomic_write(&manifest_path, &bytes)?;
-        }
-        return Ok(IngestReport {
-            rows: done.rows,
-            rejected: done.rejected,
-            chunks: done.chunks,
-            resumed_from_chunk: None,
-            already_complete: true,
-        });
-    }
-
-    // Validate the sealed prefix: every journaled chunk must still
-    // match its recorded CRC. The first damaged chunk (torn write, bit
-    // rot, deletion) is quarantined and the journal truncated back to
-    // the intact prefix, which re-ingests from there.
+    // Validate the sealed prefix, for a completed ingest too: every
+    // journaled chunk must still match its recorded CRC. The first
+    // damaged chunk (torn write, bit rot, deletion) is quarantined and
+    // the journal truncated back to the intact prefix — dropping any
+    // done record — which re-ingests from there.
     let mut valid = parsed.chunks.len();
     for (k, rec) in parsed.chunks.iter().enumerate() {
         let path = store_dir.join(chunk_file_name(k));
-        let intact = match std::fs::read(&path) {
+        let intact = match io.read(&path) {
             Ok(bytes) => crc64(&bytes) == rec.file_crc,
             Err(_) => false,
         };
         if !intact {
             if path.exists() {
-                quarantine(&path);
+                io.quarantine(&path);
                 emit(
                     tschema::CHUNK_QUARANTINED,
                     vec![
@@ -967,14 +934,42 @@ fn resume_ingest(
             break;
         }
     }
+    let metas: Vec<ChunkMeta> = parsed.chunks[..valid]
+        .iter()
+        .map(|c| ChunkMeta {
+            rows: c.rows,
+            crc: c.file_crc,
+        })
+        .collect();
     if valid < parsed.chunks.len() {
-        let bytes = std::fs::read(journal_path)?;
         let keep = if valid == 0 {
             parsed.header_end
         } else {
             parsed.chunk_end[valid - 1]
         };
-        atomic_write(journal_path, &bytes[..keep])?;
+        let bytes = io.read(&journal_path)?;
+        io.atomic_write(&journal_path, &bytes[..keep])?;
+    } else if let Some(done) = parsed.done {
+        // A completed ingest with intact chunks is idempotent: rebuild
+        // the manifest if it went missing or no longer matches the
+        // journal, and report without touching anything else.
+        let manifest_path = store_dir.join(MANIFEST_FILE);
+        let want = encode_manifest(&h.schema, &h.dicts, h.chunk_rows, &metas);
+        match io.read(&manifest_path) {
+            Ok(have) if have == want => {}
+            Ok(_) => {
+                io.quarantine(&manifest_path);
+                io.atomic_write(&manifest_path, &want)?;
+            }
+            Err(_) => io.atomic_write(&manifest_path, &want)?,
+        }
+        return Ok(IngestReport {
+            rows: done.rows,
+            rejected: done.rejected,
+            chunks: done.chunks,
+            resumed_from_chunk: None,
+            already_complete: true,
+        });
     }
     // An unjournaled torn chunk file past the prefix (crash mid-write)
     // is simply overwritten when its index seals again.
@@ -984,18 +979,29 @@ fn resume_ingest(
         None => (1, 0, 0),
     };
     // Truncate the quarantine file to the sealed prefix so re-ingested
-    // rejections are not duplicated.
-    if rejected_path.exists() {
-        let f = std::fs::OpenOptions::new().write(true).open(rejected_path)?;
-        f.set_len(quarantine_bytes)?;
-        f.sync_all()?;
-    } else if quarantine_bytes > 0 {
-        return Err(DataError::SchemaMismatch {
-            detail: "journal records quarantined rows but rejected.txt is missing".to_string(),
-        });
-    } else {
-        std::fs::write(rejected_path, b"")?;
-        sync_parent_dir(rejected_path);
+    // rejections are not duplicated. A ledger missing or shorter than
+    // the journal records has lost rejected rows the journal vouches
+    // for; truncating would pad it with zeros instead.
+    match std::fs::metadata(rejected_path).map(|m| m.len()) {
+        Ok(len) if len >= quarantine_bytes => {
+            let f = std::fs::OpenOptions::new()
+                .write(true)
+                .open(rejected_path)?;
+            f.set_len(quarantine_bytes)?;
+            f.sync_all()?;
+        }
+        Err(_) if quarantine_bytes == 0 => {
+            std::fs::write(rejected_path, b"")?;
+            sync_parent_dir(rejected_path);
+        }
+        _ => {
+            return Err(DataError::SchemaMismatch {
+                detail: format!(
+                    "journal records {quarantine_bytes} bytes of quarantined rows but \
+                     rejected.txt is missing or shorter"
+                ),
+            });
+        }
     }
     emit(
         tschema::INGEST_RESUME,
@@ -1003,13 +1009,6 @@ fn resume_ingest(
     );
 
     let dicts: Vec<Dict> = h.dicts.iter().cloned().map(Dict::from_order).collect();
-    let metas: Vec<ChunkMeta> = prefix
-        .iter()
-        .map(|c| ChunkMeta {
-            rows: c.rows,
-            crc: c.file_crc,
-        })
-        .collect();
     let rows_total: usize = prefix.iter().map(|c| c.rows).sum();
     let mut state = IngestState {
         cfg,
@@ -1017,7 +1016,7 @@ fn resume_ingest(
         builders: fresh_builders(&h.schema, &dicts),
         schema: h.schema.clone(),
         dicts,
-        journal_path: journal_path.to_path_buf(),
+        journal_path,
         rejected_path: rejected_path.to_path_buf(),
         rows_in_chunk: 0,
         chunk_index: valid,
@@ -1027,7 +1026,7 @@ fn resume_ingest(
         quarantine_buf: Vec::new(),
         quarantine_bytes,
         metas,
-        faults: ArmedDataFaults::new(&cfg.faults),
+        io,
     };
     run_pass2(input, &mut state, skip_to, Some(valid))
 }
@@ -1071,7 +1070,7 @@ mod tests {
             chunk_rows,
             label: Some("income".to_string()),
             policy: RowErrorPolicy::Strict,
-            faults: DataFaultPlan::none(),
+            ..IngestConfig::default()
         }
     }
 
@@ -1123,7 +1122,7 @@ mod tests {
         for row in 0..10 {
             let dir = base.join(format!("killed-{row}"));
             let mut cfg = demo_cfg(3);
-            cfg.faults = DataFaultPlan::kill_at_row(row);
+            cfg.kill_at_row = Some(row);
             let err = ingest_csv(&input, &dir, &cfg).unwrap_err();
             assert!(matches!(err, DataError::Interrupted { .. }), "{err}");
             // Rerun without the fault: must resume and converge.
@@ -1144,12 +1143,17 @@ mod tests {
         let want = dir_bytes(&clean_dir);
         let dir = base.join("torn");
         let mut cfg = demo_cfg(4);
-        cfg.faults = DataFaultPlan::torn_chunk_write_at(1);
+        // Write 0 is the journal header, write 1 chunk 0, write 2 chunk 1.
+        cfg.io_faults = IoFaultPlan::torn_write_at(2, 40);
         let err = ingest_csv(&input, &dir, &cfg).unwrap_err();
-        assert!(matches!(err, DataError::Interrupted { .. }), "{err}");
-        // The torn file is sitting at the final path, unjournaled.
-        let torn = std::fs::read(dir.join(chunk_file_name(1))).unwrap();
-        assert!(!torn.is_empty());
+        assert!(matches!(err, DataError::Io(_)), "{err}");
+        // The crash inside the atomic write left a prefix in the temp
+        // file, unjournaled, and nothing at the final path.
+        let path = dir.join(chunk_file_name(1));
+        assert!(!path.exists());
+        let torn = std::fs::read(daisy_wire::sibling(&path, "tmp")).unwrap();
+        let sealed = std::fs::read(clean_dir.join(chunk_file_name(1))).unwrap();
+        assert!(!torn.is_empty() && sealed.starts_with(&torn));
         let report = ingest_csv(&input, &dir, &demo_cfg(4)).unwrap();
         assert_eq!(report.resumed_from_chunk, Some(1));
         assert_eq!(dir_bytes(&dir), want);
@@ -1162,7 +1166,8 @@ mod tests {
         let input = write_input(&base, DEMO);
         let dir = base.join("store");
         let mut cfg = demo_cfg(5);
-        cfg.faults = DataFaultPlan::disk_full_at(0);
+        // Write 1: chunk 0, after the journal header.
+        cfg.io_faults = IoFaultPlan::disk_full_at(1);
         let err = ingest_csv(&input, &dir, &cfg).unwrap_err();
         assert!(matches!(err, DataError::Io(_)), "{err}");
         let report = ingest_csv(&input, &dir, &demo_cfg(5)).unwrap();
@@ -1180,7 +1185,7 @@ mod tests {
         let want = dir_bytes(&clean_dir);
         let dir = base.join("store");
         let mut cfg = demo_cfg(3);
-        cfg.faults = DataFaultPlan::kill_at_row(7);
+        cfg.kill_at_row = Some(7);
         ingest_csv(&input, &dir, &cfg).unwrap_err();
         // Rot the *first* sealed chunk behind the journal's back.
         let path = dir.join(chunk_file_name(0));
@@ -1228,7 +1233,7 @@ mod tests {
             chunk_rows: 8,
             label: Some("income".to_string()),
             policy: RowErrorPolicy::SkipWithBudget { budget: 5 },
-            faults: DataFaultPlan::none(),
+            ..IngestConfig::default()
         };
         let report = ingest_csv(&input, &store_dir, &cfg).unwrap();
         assert_eq!(report.rows, 2);
@@ -1250,7 +1255,7 @@ mod tests {
             chunk_rows: 8,
             label: None,
             policy: RowErrorPolicy::SkipWithBudget { budget: 1 },
-            faults: DataFaultPlan::none(),
+            ..IngestConfig::default()
         };
         let err = ingest_csv(&input, &store_dir, &cfg).unwrap_err();
         assert!(
@@ -1266,6 +1271,74 @@ mod tests {
         // Both offending rows were flushed for the post-mortem.
         let rejected = std::fs::read_to_string(store_dir.join(REJECTED_FILE)).unwrap();
         assert!(rejected.contains("line 2") && rejected.contains("line 3"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rerunning_a_completed_ingest_repairs_the_store() {
+        let dir = scratch_dir("repair");
+        let input = write_input(&dir, DEMO);
+        let clean_dir = dir.join("clean");
+        ingest_csv(&input, &clean_dir, &demo_cfg(4)).unwrap();
+        let want = dir_bytes(&clean_dir);
+        let store_dir = dir.join("store");
+        ingest_csv(&input, &store_dir, &demo_cfg(4)).unwrap();
+        // A sealed chunk rots after completion, and the store
+        // quarantines it on read.
+        let path = store_dir.join(chunk_file_name(1));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let store = ChunkStore::open(&store_dir).unwrap();
+        assert!(matches!(
+            store.chunk(1),
+            Err(DataError::CorruptChunk { .. })
+        ));
+        assert!(!path.exists(), "the store quarantined the chunk");
+        // Rerunning the same ingest re-ingests from it.
+        let report = ingest_csv(&input, &store_dir, &demo_cfg(4)).unwrap();
+        assert!(!report.already_complete);
+        assert_eq!(report.resumed_from_chunk, Some(1));
+        std::fs::remove_file(daisy_wire::sibling(&path, "corrupt-0")).unwrap();
+        assert_eq!(dir_bytes(&store_dir), want, "store rebuilt exactly");
+        // A rotted manifest is quarantined and rebuilt from the journal.
+        let manifest = store_dir.join(MANIFEST_FILE);
+        std::fs::write(&manifest, b"rot").unwrap();
+        let report = ingest_csv(&input, &store_dir, &demo_cfg(4)).unwrap();
+        assert!(report.already_complete);
+        let q = daisy_wire::sibling(&manifest, "corrupt-0");
+        assert_eq!(std::fs::read(&q).unwrap(), b"rot");
+        std::fs::remove_file(&q).unwrap();
+        assert_eq!(dir_bytes(&store_dir), want, "manifest rebuilt exactly");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_ledger_shorter_than_the_journal_is_refused_on_resume() {
+        let dir = scratch_dir("shortledger");
+        let input = write_input(
+            &dir,
+            "age,income\n38,hi\n51,lo,extra\n27,lo\n44,hi\n61,hi\n33,lo\n",
+        );
+        let store_dir = dir.join("store");
+        let mut cfg = IngestConfig {
+            chunk_rows: 2,
+            label: Some("income".to_string()),
+            policy: RowErrorPolicy::SkipWithBudget { budget: 5 },
+            ..IngestConfig::default()
+        };
+        cfg.kill_at_row = Some(4);
+        ingest_csv(&input, &store_dir, &cfg).unwrap_err();
+        let ledger = store_dir.join(REJECTED_FILE);
+        let rejected = std::fs::read_to_string(&ledger).unwrap();
+        assert!(rejected.starts_with("line 3: "), "{rejected}");
+        // Emptied behind the journal's back: resume must not pad it.
+        std::fs::write(&ledger, b"").unwrap();
+        cfg.kill_at_row = None;
+        let err = ingest_csv(&input, &store_dir, &cfg).unwrap_err();
+        assert!(matches!(err, DataError::SchemaMismatch { .. }), "{err}");
+        assert!(std::fs::read(&ledger).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1293,7 +1366,7 @@ mod tests {
         let input = write_input(&dir, DEMO);
         let store_dir = dir.join("store");
         let mut cfg = demo_cfg(3);
-        cfg.faults = DataFaultPlan::kill_at_row(5);
+        cfg.kill_at_row = Some(5);
         ingest_csv(&input, &store_dir, &cfg).unwrap_err();
         // The input grows a row behind the journal's back.
         let mut body = DEMO.to_string();
@@ -1310,7 +1383,7 @@ mod tests {
         let input = write_input(&dir, DEMO);
         let store_dir = dir.join("store");
         let mut cfg = demo_cfg(3);
-        cfg.faults = DataFaultPlan::kill_at_row(5);
+        cfg.kill_at_row = Some(5);
         ingest_csv(&input, &store_dir, &cfg).unwrap_err();
         let err = ingest_csv(&input, &store_dir, &demo_cfg(4)).unwrap_err();
         assert!(matches!(err, DataError::SchemaMismatch { .. }), "{err}");
@@ -1337,7 +1410,7 @@ mod tests {
         let input = write_input(&dir, DEMO);
         let store_dir = dir.join("store");
         let mut cfg = demo_cfg(3);
-        cfg.faults = DataFaultPlan::kill_at_row(7);
+        cfg.kill_at_row = Some(7);
         ingest_csv(&input, &store_dir, &cfg).unwrap_err();
         // Append a garbage half-record: a real torn append.
         let journal = store_dir.join(JOURNAL_FILE);

@@ -43,7 +43,7 @@ pub use gmm::Gmm1d;
 pub use ingest::{ingest_csv, IngestConfig, IngestReport, RowErrorPolicy};
 pub use schema::Schema;
 pub use source::{ChunkSource, TableChunks};
-pub use store::{ChunkStore, DataFault, DataFaultPlan};
+pub use store::ChunkStore;
 pub use table::{Column, Table, TableBuilder};
 pub use transform::{
     one_hot_labels, AttributeCodec, CategoricalEncoding, MatrixCellParam, MatrixCodec,

@@ -17,7 +17,12 @@
 //! panic, never silently wrong data. A chunk that fails validation is
 //! renamed to `chunk-NNNNNN.dch.corrupt-K` (bytes preserved for
 //! post-mortem) before the error returns, so a rebuilt chunk can take
-//! its place.
+//! its place. The manifest's row counts are checked before any chunk
+//! is read: the chunks must partition the rows, full chunks first.
+//!
+//! Every store file is read and quarantined through one
+//! [`daisy_wire::ArmedIo`] handle per store, which tests arm with
+//! storage faults via [`ChunkStore::open_with_faults`].
 //!
 //! Resident memory is bounded by the `DAISY_MEM_BUDGET` environment
 //! variable (bytes; default 256 MiB): decoded chunks live in a
@@ -27,9 +32,6 @@
 //! chunk-backed runs bit-deterministic at any thread count.
 
 pub mod chunk;
-pub mod fault;
-
-pub use fault::{DataFault, DataFaultPlan};
 
 use crate::error::DataError;
 use crate::schema::Schema;
@@ -37,8 +39,7 @@ use crate::table::{Column, Table};
 use crate::value::AttrType;
 use chunk::{chunk_file_name, decode_chunk};
 use daisy_telemetry::{emit, field, schema as tschema};
-use daisy_wire::{crc64, quarantine, Reader, Writer};
-use fault::ArmedDataFaults;
+use daisy_wire::{crc64, ArmedIo, IoFault, IoFaultPlan, Reader, Writer};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -96,10 +97,22 @@ pub(crate) fn encode_manifest(
 }
 
 /// The decoded manifest fields: schema, category dictionaries,
-/// `chunk_rows`, and per-chunk metadata.
-pub(crate) type DecodedManifest = (Schema, Vec<Vec<String>>, usize, Vec<ChunkMeta>);
+/// `chunk_rows`, per-chunk metadata, and the total row count.
+pub(crate) type DecodedManifest = (Schema, Vec<Vec<String>>, usize, Vec<ChunkMeta>, usize);
 
-/// Decodes a store manifest.
+/// Emits the one `fault_fired` event of a storage fault a store or
+/// ingest handle fired.
+pub(crate) fn report_fault(fault: &IoFault) {
+    let (op, index) = fault.index();
+    emit(
+        tschema::FAULT_FIRED,
+        vec![field("kind", fault.kind()), field(op, index)],
+    );
+}
+
+/// Decodes a store manifest, checking that its chunks partition the
+/// rows the way [`crate::ChunkSource`] promises: every chunk but the
+/// last holds exactly `chunk_rows` rows, the last `1..=chunk_rows`.
 pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, String> {
     if bytes.len() < MANIFEST_MAGIC.len() || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
         return Err("bad manifest magic".to_string());
@@ -124,7 +137,28 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, String> {
     if !r.is_empty() {
         return Err("manifest file has trailing bytes".to_string());
     }
-    Ok((schema, dicts, chunk_rows, chunks))
+    let n_rows = match chunks.split_last() {
+        None => 0,
+        Some((last, full)) => {
+            if let Some(k) = full.iter().position(|m| m.rows != chunk_rows) {
+                return Err(format!(
+                    "chunk {k} records {} rows, chunk_rows is {chunk_rows}",
+                    full[k].rows
+                ));
+            }
+            if !(1..=chunk_rows).contains(&last.rows) {
+                return Err(format!(
+                    "last chunk records {} rows, outside 1..={chunk_rows}",
+                    last.rows
+                ));
+            }
+            full.len()
+                .checked_mul(chunk_rows)
+                .and_then(|rows| rows.checked_add(last.rows))
+                .ok_or_else(|| "manifest row total overflows".to_string())?
+        }
+    };
+    Ok((schema, dicts, chunk_rows, chunks, n_rows))
 }
 
 /// Decoded-chunk cache: least-recently-used, bounded by a byte budget,
@@ -169,7 +203,7 @@ pub struct ChunkStore {
     chunks: Vec<ChunkMeta>,
     n_rows: usize,
     cache: RefCell<Cache>,
-    faults: RefCell<ArmedDataFaults>,
+    io: ArmedIo,
 }
 
 impl ChunkStore {
@@ -178,25 +212,27 @@ impl ChunkStore {
     /// reported as [`DataError::CorruptManifest`]; rerunning the ingest
     /// rebuilds it from the journal.
     pub fn open(dir: &Path) -> Result<ChunkStore, DataError> {
-        Self::open_with_faults(dir, &DataFaultPlan::none())
+        Self::open_with_faults(dir, &IoFaultPlan::none())
     }
 
-    /// [`ChunkStore::open`] with a fault plan armed against chunk
-    /// reads (test harness for the corruption-quarantine path).
-    pub fn open_with_faults(dir: &Path, plan: &DataFaultPlan) -> Result<ChunkStore, DataError> {
+    /// [`ChunkStore::open`] with storage faults armed against the
+    /// store's reads and quarantines: the manifest read is read 0, and
+    /// each chunk read that misses the cache takes the next index (test
+    /// harness for the corruption-quarantine paths).
+    pub fn open_with_faults(dir: &Path, plan: &IoFaultPlan) -> Result<ChunkStore, DataError> {
+        let io = ArmedIo::new(plan).on_fire(report_fault);
         let manifest_path = dir.join(MANIFEST_FILE);
-        let bytes = std::fs::read(&manifest_path)?;
-        let (schema, dicts, chunk_rows, chunks) = match decode_manifest(&bytes) {
+        let bytes = io.read(&manifest_path)?;
+        let (schema, dicts, chunk_rows, chunks, n_rows) = match decode_manifest(&bytes) {
             Ok(parts) => parts,
             Err(detail) => {
-                quarantine(&manifest_path);
+                io.quarantine(&manifest_path);
                 return Err(DataError::CorruptManifest {
                     path: manifest_path,
                     detail,
                 });
             }
         };
-        let n_rows = chunks.iter().map(|m| m.rows).sum();
         let bytes_per_row = schema
             .attrs()
             .iter()
@@ -218,7 +254,7 @@ impl ChunkStore {
                 bytes_per_row,
                 entries: Vec::new(),
             }),
-            faults: RefCell::new(ArmedDataFaults::new(plan)),
+            io,
         })
     }
 
@@ -268,22 +304,7 @@ impl ChunkStore {
             return Ok(t);
         }
         let path = self.dir.join(chunk_file_name(k));
-        let mut bytes = std::fs::read(&path)?;
-        if let Some(DataFault::BitFlipOnRead { byte, .. }) = self.faults.borrow_mut().take(|f| {
-            matches!(f, DataFault::BitFlipOnRead { chunk, .. } if *chunk == k)
-        }) {
-            if !bytes.is_empty() {
-                let at = (byte % bytes.len() as u64) as usize;
-                bytes[at] ^= 0x01;
-                emit(
-                    tschema::FAULT_FIRED,
-                    vec![
-                        field("kind", "data_bit_flip_on_read"),
-                        field("chunk", k),
-                    ],
-                );
-            }
-        }
+        let bytes = self.io.read(&path)?;
         let detail = if crc64(&bytes) != self.chunks[k].crc {
             "file checksum disagrees with manifest".to_string()
         } else {
@@ -304,7 +325,7 @@ impl ChunkStore {
                 Err(e) => e,
             }
         };
-        quarantine(&path);
+        self.io.quarantine(&path);
         emit(
             tschema::CHUNK_QUARANTINED,
             vec![field("chunk", k), field("error", detail.as_str())],
@@ -314,7 +335,8 @@ impl ChunkStore {
 
     /// Materializes the full table in memory (all chunks concatenated
     /// in order). Intended for small stores and tests; training reads
-    /// chunk-at-a-time instead.
+    /// chunk-at-a-time instead. Columns grow from validated chunks only,
+    /// never from the manifest's row count.
     pub fn to_table(&self) -> Result<Table, DataError> {
         let mut columns: Vec<Column> = self
             .schema
@@ -322,9 +344,9 @@ impl ChunkStore {
             .iter()
             .zip(&self.dicts)
             .map(|(a, dict)| match a.ty {
-                AttrType::Numerical => Column::Num(Vec::with_capacity(self.n_rows)),
+                AttrType::Numerical => Column::Num(Vec::new()),
                 AttrType::Categorical => Column::Cat {
-                    codes: Vec::with_capacity(self.n_rows),
+                    codes: Vec::new(),
                     categories: dict.clone(),
                 },
             })
@@ -449,8 +471,9 @@ mod tests {
     fn bit_flip_on_read_fault_trips_quarantine() {
         let dir = scratch_dir("flip");
         write_demo_store(&dir);
-        let store =
-            ChunkStore::open_with_faults(&dir, &DataFaultPlan::bit_flip_on_read(0, 13)).unwrap();
+        // Read 0 is the manifest; read 1 is the first chunk read.
+        let plan = IoFaultPlan::new(vec![IoFault::FlipOnRead { read: 1, offset: 13 }]);
+        let store = ChunkStore::open_with_faults(&dir, &plan).unwrap();
         let Err(e) = store.chunk(0) else {
             panic!("flipped read must fail");
         };

@@ -2,8 +2,8 @@
 //!
 //! The chaos tests (`tests/serve_chaos.rs`, the CI chaos smoke) need
 //! the network's real failure modes — torn frames, stalled peers,
-//! mid-stream resets, a reload racing a stream, a full disk under
-//! quarantine — but reproducibly, on demand, without flaky timing.
+//! mid-stream resets, a reload racing a stream — but reproducibly, on
+//! demand, without flaky timing.
 //! [`ChaosProxy`] provides them: a TCP proxy between client and server
 //! that executes a [`FaultPlan`], a scripted queue of [`ServeFault`]s
 //! consumed one per proxied connection. When the queue runs dry every
@@ -16,6 +16,11 @@
 //! construction, a reset lands exactly on a frame boundary, and a
 //! reload fires after an exact number of delivered frames — no
 //! sleep-and-hope.
+//!
+//! Storage faults on the model file (a failed quarantine, a flipped
+//! read) are not network faults: they are armed on the model itself
+//! with [`SharedModel::load_with_faults`], through the same
+//! `daisy_wire::fault` seam every sealed format uses.
 
 use crate::proto::{read_frame, write_frame, MAX_RESPONSE_FRAME};
 use crate::server::SharedModel;
@@ -63,12 +68,6 @@ pub enum ServeFault {
         /// Complete response frames delivered before the reload fires.
         after_frames: u64,
     },
-    /// Arm the disk-full fault on the [`SharedModel`] handle: the next
-    /// *failed* reload reports `quarantined: None` (the rename
-    /// "failed") while the old model keeps serving. Consumed at
-    /// [`ChaosProxy::spawn`], not per connection — it scripts reload
-    /// behavior, not stream behavior.
-    DiskFullOnQuarantine,
 }
 
 /// A scripted queue of faults, consumed front-to-back, one per proxied
@@ -106,15 +105,6 @@ impl FaultPlan {
             .unwrap_or_else(|e| e.into_inner())
             .pop_front()
     }
-
-    /// Removes and counts every [`ServeFault::DiskFullOnQuarantine`]
-    /// (they arm at spawn, not per connection).
-    fn take_quarantine_faults(&self) -> usize {
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        let before = queue.len();
-        queue.retain(|f| *f != ServeFault::DiskFullOnQuarantine);
-        before - queue.len()
-    }
 }
 
 /// A fault-injecting TCP proxy in front of a `daisy serve` endpoint.
@@ -127,19 +117,13 @@ pub struct ChaosProxy {
 
 impl ChaosProxy {
     /// Binds an ephemeral local port and detaches the accept loop.
-    /// `reload` is the handle [`ServeFault::ReloadDuringStream`] and
-    /// [`ServeFault::DiskFullOnQuarantine`] act on; pass `None` when
-    /// the plan scripts neither.
+    /// `reload` is the handle [`ServeFault::ReloadDuringStream`] acts
+    /// on; pass `None` when the plan scripts no reload.
     pub fn spawn(
         upstream: SocketAddr,
         plan: Arc<FaultPlan>,
         reload: Option<Arc<SharedModel>>,
     ) -> std::io::Result<ChaosProxy> {
-        if plan.take_quarantine_faults() > 0 {
-            if let Some(model) = &reload {
-                model.arm_quarantine_failure();
-            }
-        }
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let accept_plan = Arc::clone(&plan);

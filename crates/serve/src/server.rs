@@ -16,7 +16,7 @@ use daisy_telemetry::{
     duration_ms, emit_event, enabled, field, knobs, metrics, profile, schema, sleep_ms, Event,
     Stopwatch,
 };
-use daisy_wire::{crc64, quarantine, Crc64, Writer};
+use daisy_wire::{crc64, ArmedIo, Crc64, IoFaultPlan, Writer};
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -167,26 +167,22 @@ fn parse_env_allow_zero(name: &str) -> Option<u64> {
 /// Returns the raw validated bytes (the model's fingerprint is their
 /// CRC-64) alongside the decoded synthesizer.
 pub fn load_model(path: &Path) -> Result<(Vec<u8>, FittedSynthesizer), ServeError> {
-    decode_or_quarantine(path, || false)
+    decode_or_quarantine(path, &ArmedIo::new(&IoFaultPlan::none()))
 }
 
-/// [`load_model`], except that a corrupt file stays in place, reported
-/// as `quarantined: None`, when `fail_quarantine()` says the rename
-/// fails (the injected disk-full fault).
+/// [`load_model`] through `io`, which reads the file and quarantines it
+/// (a quarantine that fails leaves the file in place, reported as
+/// `quarantined: None`).
 fn decode_or_quarantine(
     path: &Path,
-    fail_quarantine: impl FnOnce() -> bool,
+    io: &ArmedIo,
 ) -> Result<(Vec<u8>, FittedSynthesizer), ServeError> {
-    let bytes = std::fs::read(path)?;
+    let bytes = io.read(path)?;
     match FittedSynthesizer::from_bytes(&bytes) {
         Ok(model) => Ok((bytes, model)),
         Err(error) => Err(ServeError::CorruptModel {
             error,
-            quarantined: if fail_quarantine() {
-                None
-            } else {
-                quarantine(path)
-            },
+            quarantined: io.quarantine(path),
         }),
     }
 }
@@ -296,10 +292,8 @@ impl ActiveModel {
 pub struct SharedModel {
     path: PathBuf,
     active: Mutex<Arc<ActiveModel>>,
-    /// Armed by the fault plan: the next reload-failure quarantine
-    /// behaves as if the rename failed (disk full), exercising the
-    /// `quarantined: None` path without touching the filesystem.
-    quarantine_fault: AtomicBool,
+    /// Reads and quarantines the model file, at bind and every reload.
+    io: ArmedIo,
 }
 
 /// What a successful [`SharedModel::reload`] swapped in.
@@ -318,11 +312,23 @@ impl SharedModel {
     /// Loads and validates `path` (quarantining a corrupt file, see
     /// [`load_model`]) into a swappable shared model.
     pub fn load(path: &Path) -> Result<Arc<SharedModel>, ServeError> {
-        let (bytes, model) = load_model(path)?;
+        Self::load_with_faults(path, &IoFaultPlan::none())
+    }
+
+    /// [`SharedModel::load`] with storage faults armed against the
+    /// model file's reads and quarantines, at bind and on every reload:
+    /// the bind read is read 0 and each reload takes the next index
+    /// (test harness for the corrupt-reload paths).
+    pub fn load_with_faults(
+        path: &Path,
+        plan: &IoFaultPlan,
+    ) -> Result<Arc<SharedModel>, ServeError> {
+        let io = ArmedIo::new(plan);
+        let (bytes, model) = decode_or_quarantine(path, &io)?;
         Ok(Arc::new(SharedModel {
             path: path.to_path_buf(),
             active: Mutex::new(Arc::new(ActiveModel::new(&bytes, model, 0))),
-            quarantine_fault: AtomicBool::new(false),
+            io,
         }))
     }
 
@@ -347,12 +353,6 @@ impl SharedModel {
         &self.path
     }
 
-    /// Arms the disk-full-on-quarantine fault: the next failed reload
-    /// reports `quarantined: None` instead of renaming the file.
-    pub fn arm_quarantine_failure(&self) {
-        self.quarantine_fault.store(true, Ordering::Relaxed);
-    }
-
     /// Re-reads and revalidates the model file, swapping it in on
     /// success. On a corrupt replacement the file is quarantined
     /// (`*.corrupt-N`) and the **old model keeps serving** — a bad
@@ -361,9 +361,7 @@ impl SharedModel {
     /// [`schema::SERVE_RELOAD`]).
     pub fn reload(&self) -> Result<ReloadReport, ServeError> {
         // Decode outside the lock: connections keep accepting meanwhile.
-        let decoded = decode_or_quarantine(&self.path, || {
-            self.quarantine_fault.swap(false, Ordering::Relaxed)
-        });
+        let decoded = decode_or_quarantine(&self.path, &self.io);
         let report = decoded.map(|(bytes, model)| {
             let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
             let next = ActiveModel::new(&bytes, model, active.generation + 1);

@@ -43,8 +43,9 @@ pub const GUARD_TRIP: &str = "guard_trip";
 /// `action`, `lr_scale` (rollback/escalation only).
 pub const RECOVERY: &str = "recovery";
 /// A scheduled fault fired. Fields: `kind`, plus `step` (training
-/// faults), `save` (checkpoint I/O faults), or `chunk`/`row`
-/// (data-plane faults).
+/// faults), `write`/`read`/`quarantine` (storage faults: the index of
+/// the operation on its `daisy_wire` handle), or `row` (the ingest
+/// kill).
 pub const FAULT_FIRED: &str = "fault_fired";
 
 /// Streaming ingestion started (fresh or resumed). Fields: `resumed`,

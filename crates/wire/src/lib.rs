@@ -18,11 +18,19 @@
 //!   time and surfaces as a typed error, never as silently wrong data;
 //! * files are replaced atomically — a crash mid-write leaves either
 //!   the old file or the new file on disk, never a torn mix.
+//!
+//! The [`fault`] module is the one storage-fault seam for those
+//! formats: an [`ArmedIo`] handle replaces files, reads them and
+//! quarantines them, and fails each operation on a deterministic
+//! [`IoFaultPlan`], so every format meets every storage fault in tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fault;
 pub mod magic;
+
+pub use fault::{ArmedIo, IoFault, IoFaultPlan};
 
 use daisy_tensor::Tensor;
 use std::io::Write as _;

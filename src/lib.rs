@@ -52,8 +52,8 @@ pub mod prelude {
     pub use daisy_baselines::{IndependentMarginals, PrivBayes, PrivBayesConfig, Vae, VaeConfig};
     pub use daisy_core::{
         CheckpointError, CheckpointPlan, DiscriminatorKind, DpConfig, FaultPlan,
-        FittedSynthesizer, GuardConfig, IoFaultPlan, LossKind, NetworkKind, Synthesizer,
-        SynthesizerConfig, TableSynthesizer, TrainConfig, TrainError, TrainOutcome,
+        FittedSynthesizer, GuardConfig, LossKind, NetworkKind, Synthesizer, SynthesizerConfig,
+        TableSynthesizer, TrainConfig, TrainError, TrainOutcome,
     };
     pub use daisy_data::{
         Attribute, Column, DataError, RecordCodec, Schema, Table, TransformConfig, Value,
@@ -61,4 +61,5 @@ pub mod prelude {
     pub use daisy_eval::{classifier_zoo, classification_utility, clustering_utility};
     pub use daisy_serve::{Request, ServeConfig, ServeError, Server};
     pub use daisy_tensor::{Rng, Tensor};
+    pub use daisy_wire::IoFaultPlan;
 }

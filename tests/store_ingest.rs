@@ -6,8 +6,7 @@
 //! clean run would have produced.
 
 use daisy::data::{
-    ingest_csv, ChunkStore, DataError, DataFaultPlan, IngestConfig, RecordCodec, RowErrorPolicy,
-    TransformConfig,
+    ingest_csv, ChunkStore, DataError, IngestConfig, RecordCodec, RowErrorPolicy, TransformConfig,
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -69,7 +68,7 @@ fn killed_ingest_resumes_to_the_clean_run_byte_for_byte() {
     for kill_row in [0, 63, 128, 511, 698] {
         let dir = base.join(format!("killed-{kill_row}"));
         let mut killed = cfg(128);
-        killed.faults = DataFaultPlan::kill_at_row(kill_row);
+        killed.kill_at_row = Some(kill_row);
         let err = ingest_csv(&input, &dir, &killed).unwrap_err();
         assert!(
             matches!(err, DataError::Interrupted { .. }),
@@ -203,5 +202,108 @@ fn store_backed_codec_matches_chunked_fit_over_same_rows() {
     let enc_store = from_store.encode_table(&table);
     let enc_memory = from_memory.encode_table(&table);
     assert_eq!(enc_store, enc_memory);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Overwrites little-endian `u64` fields of a manifest, each named by
+/// its byte offset from the end of the file, and re-seals the section
+/// CRC: a CRC-valid manifest that lies. The layout is the magic (8
+/// bytes), the section's length and CRC (8 + 8), then the body, whose
+/// last fields are `chunk_rows`, the chunk count, and `[rows][crc]` per
+/// chunk.
+fn reseal(path: &Path, edits: &[(usize, u64)]) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let len = bytes.len();
+    for &(from_end, value) in edits {
+        bytes[len - from_end..len - from_end + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    let crc = daisy::wire::crc64(&bytes[24..]);
+    bytes[16..24].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+fn copy_store(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// A manifest's row counts are trusted nowhere: with any one of them
+/// re-sealed to a lie, opening the store, materializing it and sampling
+/// through `ChunkedTrainingData` each end in a typed error or in the
+/// correct rows — never a panic, never an allocation sized by the lie.
+#[test]
+fn resealed_manifest_row_counts_end_in_typed_errors_or_correct_rows() {
+    use daisy::core::{BatchSource, ChunkedTrainingData};
+    use daisy::tensor::Rng;
+
+    let base = scratch("reseal");
+    let input = write_dataset_csv(&base, 40, 3);
+    // Chunks of 16/16/8 rows, and a single chunk of 40.
+    for chunk_rows in [16usize, 64] {
+        let clean = base.join(format!("clean-{chunk_rows}"));
+        ingest_csv(&input, &clean, &cfg(chunk_rows)).unwrap();
+        let store = ChunkStore::open(&clean).unwrap();
+        let table = store.to_table().unwrap();
+        let codec = RecordCodec::fit_chunks(&store, &TransformConfig::sn_ht()).unwrap();
+        let sample = |dir: &Path| -> Result<Vec<f32>, DataError> {
+            let store = ChunkStore::open(dir)?;
+            let data = ChunkedTrainingData::new(&store, &codec)?;
+            let batch = data.sample_random(32, true, &mut Rng::seed_from_u64(7))?;
+            Ok(batch.samples.data().to_vec())
+        };
+        let want = sample(&clean).unwrap();
+
+        let n = store.n_chunks();
+        let cr = chunk_rows as u64;
+        let mut fields = vec![(16 * n + 16, cr)];
+        fields.extend((0..n).map(|k| (16 * (n - k), store.chunk_meta(k).rows as u64)));
+        let manifest = std::fs::read(clean.join("manifest.dmf")).unwrap();
+        let mut edits = Vec::new();
+        for &(from_end, value) in &fields {
+            let at = manifest.len() - from_end;
+            let stored = u64::from_le_bytes(manifest[at..at + 8].try_into().unwrap());
+            assert_eq!(stored, value, "the field {from_end} bytes from the end");
+            for lie in [0, cr - 1, cr + 1, 1 << 40, u64::MAX] {
+                edits.push(vec![(from_end, lie)]);
+            }
+        }
+        if n == 1 {
+            // A one-chunk store claiming 2^40 rows of 2^40 per chunk
+            // partitions cleanly; only its chunk can expose the lie.
+            edits.push(vec![(32, 1 << 40), (16, 1 << 40)]);
+        }
+
+        for edit in edits {
+            let dir = base.join("case");
+            copy_store(&clean, &dir);
+            reseal(&dir.join("manifest.dmf"), &edit);
+            match ChunkStore::open(&dir).and_then(|s| s.to_table()) {
+                Ok(got) => assert_eq!(got, table, "{edit:?}"),
+                Err(e) => assert!(
+                    matches!(
+                        e,
+                        DataError::CorruptManifest { .. } | DataError::CorruptChunk { .. }
+                    ),
+                    "{edit:?}: {e}"
+                ),
+            }
+            copy_store(&clean, &dir);
+            reseal(&dir.join("manifest.dmf"), &edit);
+            match sample(&dir) {
+                Ok(got) => assert_eq!(got, want, "{edit:?}"),
+                Err(e) => assert!(
+                    matches!(
+                        e,
+                        DataError::CorruptManifest { .. } | DataError::CorruptChunk { .. }
+                    ),
+                    "{edit:?}: {e}"
+                ),
+            }
+        }
+    }
     std::fs::remove_dir_all(&base).ok();
 }
