@@ -97,27 +97,27 @@ fn bench_matmul_references() {
     });
 }
 
+/// `matmul`, `matmul_tn` and `matmul_nt` at each `MxKxN` shape, fed the
+/// same product (the transposed variants get pre-transposed copies of
+/// `A` or `B`), so their rows compare equal work.
 fn bench_matmul(threads: usize) {
     pool::set_threads(threads);
     let mut rng = Rng::seed_from_u64(0);
-    let a = Tensor::randn(&[128, 256], &mut rng);
-    let b = Tensor::randn(&[256, 128], &mut rng);
-    bench(&format!("matmul_128x256x128@{threads}t"), 20, || {
-        black_box(a.matmul(&b));
-    });
-    let c = Tensor::randn(&[128, 64], &mut rng);
-    bench(&format!("matmul_tn_128x256x128@{threads}t"), 20, || {
-        black_box(a.matmul_tn(&c));
-    });
-    let a5 = Tensor::randn(&[512, 512], &mut rng);
-    let b5 = Tensor::randn(&[512, 512], &mut rng);
-    bench(&format!("matmul_512x512x512@{threads}t"), 10, || {
-        black_box(a5.matmul(&b5));
-    });
-    let b5t = b5.clone();
-    bench(&format!("matmul_nt_512x512x512@{threads}t"), 10, || {
-        black_box(a5.matmul_nt(&b5t));
-    });
+    for (m, k, n, samples) in [(128, 256, 128, 20), (512, 512, 512, 10)] {
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let (at, bt) = (a.transpose(), b.transpose());
+        let shape = format!("{m}x{k}x{n}@{threads}t");
+        bench(&format!("matmul_{shape}"), samples, || {
+            black_box(a.matmul(&b));
+        });
+        bench(&format!("matmul_tn_{shape}"), samples, || {
+            black_box(at.matmul_tn(&b));
+        });
+        bench(&format!("matmul_nt_{shape}"), samples, || {
+            black_box(a.matmul_nt(&bt));
+        });
+    }
 }
 
 fn bench_conv(threads: usize) {
@@ -221,7 +221,7 @@ fn bench_report(host_cores: usize) -> Json {
         (
             "generated_by".to_string(),
             Json::Str(
-                "DAISY_BENCH_JSON=BENCH_kernels.json cargo bench -p daisy-bench --bench kernels"
+                "DAISY_BENCH_JSON=$PWD/BENCH_kernels.json cargo bench -p daisy-bench --bench kernels"
                     .to_string(),
             ),
         ),

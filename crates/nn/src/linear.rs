@@ -1,9 +1,11 @@
 //! Fully-connected layer.
 //!
-//! The forward pass is one `x · W` matmul plus a row-broadcast bias;
-//! both run on daisy-tensor's worker pool (`daisy_tensor::pool`) above
-//! the size threshold, as do the `matmul_nt`/`matmul_tn` kernels of the
-//! backward pass. Results are bit-identical for any thread count.
+//! The forward pass is one `x · W` matmul plus a row-broadcast bias,
+//! both on daisy-tensor's worker pool (`daisy_tensor::pool`) above the
+//! size threshold. The backward pass runs `matmul_nt` (input gradient)
+//! and `matmul_tn` (weight gradient), which pack their transposed
+//! operand and run the same matmul loop. Results are bit-identical for
+//! any thread count.
 
 use crate::init::xavier_uniform;
 use crate::module::Module;

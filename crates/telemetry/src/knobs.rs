@@ -104,7 +104,7 @@ pub const KNOBS: &[Knob] = &[
         name: "DAISY_BENCH_JSON",
         default: "-",
         owner: "bench",
-        doc: "Path where benches append machine-readable JSONL results; unset disables.",
+        doc: "Path where a bench writes its machine-readable JSON report, replacing the file; unset disables.",
     },
     Knob {
         name: "DAISY_FULL",

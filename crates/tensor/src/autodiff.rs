@@ -17,11 +17,11 @@
 //! The graph itself is single-threaded by design (`Rc` nodes, built
 //! per thread); parallelism lives *inside* the tensor kernels each
 //! node calls. The backward walk therefore parallelizes automatically:
-//! the matmul backward runs the row-partitioned `matmul_nt`/`matmul_tn`,
+//! the matmul backward runs `matmul_nt`/`matmul_tn`, which pack their
+//! transposed operand into the forward `matmul`'s row-partitioned loop;
 //! the conv backward runs the batch-parallel gradient primitives, and
 //! elementwise backward closures run the chunked `map`/`zip` — all on
-//! the worker pool in [`crate::pool`], all bit-identical for any
-//! thread count.
+//! the worker pool in [`crate::pool`], bit-identical at any thread count.
 //!
 //! [`Param`]s, unlike graph nodes, are `Send + Sync` (an `Arc` over a
 //! locked value and gradient): a trained model can be shared by many

@@ -7,9 +7,9 @@
 //! primitive used as a forward pass, so it comes for free.
 //!
 //! Small problems take a direct loop; above [`pool::PAR_MIN_WORK`]
-//! multiply-adds the forward pass lowers to **im2col + matmul**, which
-//! reuses the parallel blocked matmul kernel, and the gradients
-//! parallelize over the batch. The im2col patch layout is ordered
+//! multiply-adds the forward pass lowers to **im2col + `matmul_nt`**,
+//! the one matmul kernel of [`crate::linalg`]. The gradients stay on
+//! direct loops, parallel over the batch. The im2col patch layout is
 //! `[ci][ky][kx]` — the exact accumulation order of the direct loop —
 //! and path selection depends only on shapes, so results are
 //! bit-identical for any thread count (see [`crate::pool`]).
@@ -70,8 +70,8 @@ pub fn conv2d(x: &Tensor, w: &Tensor, stride: usize, pad: usize) -> Tensor {
     let macs = b * oc * oh * ow * c * kh * kw;
     let patch_elems = b * oh * ow * c * kh * kw;
     observe_kernel_work(&CONV2D_WORK, "kernel.conv2d.work", macs);
-    // The im2col path lowers onto matmul, so profiles show that share
-    // as a conv2d/matmul child phase.
+    // The im2col path lowers onto matmul_nt, so profiles show that
+    // share as a conv2d/matmul_nt child phase.
     daisy_telemetry::phase_scope!("conv2d");
     // Path choice is a pure function of the shapes — never of the
     // thread count — so it cannot break run-to-run determinism.
@@ -140,8 +140,8 @@ fn conv2d_direct(
 
 /// im2col forward path: materialize `[B*OH*OW, C*KH*KW]` patches (in
 /// the direct loop's `[ci][ky][kx]` order), multiply by the `[OC,
-/// C*KH*KW]` weight view with the parallel `matmul_nt`, and permute the
-/// result back to `[B, OC, OH, OW]`.
+/// C*KH*KW]` weight view with `matmul_nt` (weights packed, then the one
+/// matmul loop), and permute the result back to `[B, OC, OH, OW]`.
 fn conv2d_im2col(
     x: &Tensor,
     w: &Tensor,
