@@ -8,7 +8,7 @@ use daisy_core::output_head::apply_output_head;
 use daisy_core::TableSynthesizer;
 use daisy_data::{OutputBlockKind, RecordCodec, Table, TransformConfig};
 use daisy_nn::{zero_grads, Activation, Adam, Linear, Module, Optimizer, Sequential};
-use daisy_tensor::{Rng, Tensor, Var};
+use daisy_tensor::{no_grad, Rng, Tensor, Var};
 
 /// VAE training configuration.
 #[derive(Debug, Clone)]
@@ -155,10 +155,12 @@ impl Vae {
         while row < n {
             let batch = (n - row).min(512);
             let z = Var::constant(Tensor::randn(&[batch, self.latent_dim], rng));
-            let out = apply_output_head(
-                &self.decoder_head.forward(&self.decoder_body.forward(&z)),
-                &blocks,
-            );
+            let out = no_grad(|| {
+                apply_output_head(
+                    &self.decoder_head.forward(&self.decoder_body.forward(&z)),
+                    &blocks,
+                )
+            });
             for b in 0..batch {
                 all.row_mut(row + b).copy_from_slice(out.value().row(b));
             }

@@ -21,7 +21,7 @@
 
 use crate::synthesizer::{FittedSynthesizer, GENERATION_BATCH};
 use daisy_data::{Column, Table, Value};
-use daisy_tensor::{Rng, RngState, Tensor};
+use daisy_tensor::{no_grad, Rng, RngState, Tensor};
 
 /// A pull-based stream of synthetic rows from a [`FittedSynthesizer`].
 ///
@@ -95,7 +95,8 @@ impl<'a> RowStream<'a> {
     /// condition labels — and the batch size is a constant, so the
     /// concatenation of all batches is bit-identical to a single
     /// [`FittedSynthesizer::generate`] call with the same RNG, at any
-    /// thread count.
+    /// thread count. The forward runs under [`no_grad`]: nothing
+    /// backpropagates through generation, so it keeps no graph.
     pub fn next_batch(&mut self) -> Option<Table> {
         if let Some(tail) = self.pending.take() {
             return Some(tail);
@@ -120,7 +121,7 @@ impl<'a> RowStream<'a> {
         } else {
             (None, Vec::new())
         };
-        let fake = g.forward(&z, cond.as_ref(), &mut self.rng);
+        let fake = no_grad(|| g.forward(&z, cond.as_ref(), &mut self.rng));
         let table = self.synth.codec.decode_table(fake.value());
         let table = if conditional {
             let j = self.synth.label_col.expect("conditional models have a label");
@@ -148,10 +149,16 @@ impl<'a> RowStream<'a> {
     /// bit-identical to rows `[n, total)` of an uninterrupted stream —
     /// the property that makes resumed serve fetches byte-exact.
     ///
-    /// Call before the first [`RowStream::next_batch`]; fast-forwarding
-    /// a partially consumed stream would double-count the batches
-    /// already emitted.
+    /// # Panics
+    ///
+    /// When called after the first [`RowStream::next_batch`] (or after
+    /// the iterator has started): fast-forwarding a partially consumed
+    /// stream would double-count the batches already emitted.
     pub fn fast_forward(&mut self, n: usize) {
+        assert_eq!(
+            self.generated, 0,
+            "RowStream::fast_forward must be called before the first next_batch"
+        );
         let n = n.min(self.total);
         daisy_telemetry::phase_scope!("generate");
         while self.generated + GENERATION_BATCH <= n {
@@ -387,6 +394,15 @@ mod tests {
         // (random initial state); `skip_forward_rng` must mirror it.
         let fitted = tiny_fitted_kind(NetworkKind::Lstm, false);
         assert_resume_parity(&fitted, GENERATION_BATCH + 40, 5, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be called before the first next_batch")]
+    fn fast_forward_after_next_batch_panics_naming_its_precondition() {
+        let fitted = tiny_fitted(false);
+        let mut stream = fitted.stream_rows(GENERATION_BATCH + 10, 1);
+        stream.next_batch().expect("first batch");
+        stream.fast_forward(10);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use daisy_nn::{
     zero_grads, Adam, Optimizer, RmsProp,
 };
 use daisy_telemetry::{field, schema};
-use daisy_tensor::{Param, Rng, Tensor, Var};
+use daisy_tensor::{no_grad, Param, Rng, Tensor, Var};
 
 /// Emits the typed `recovery` event for one recovery-trace entry.
 /// Exactly one event per entry: every push onto `outcome.recoveries`
@@ -217,7 +217,9 @@ fn collapse_probe(
     } else {
         None
     };
-    g.forward(&z, cond.as_ref(), rng).value().clone()
+    no_grad(|| g.forward(&z, cond.as_ref(), rng))
+        .value()
+        .clone()
 }
 
 /// Trains `g` against `d` under the resilience layer: per-step health
@@ -777,8 +779,8 @@ fn step(
         }
         let cond = real.conditions.clone();
         let z = g.sample_noise(m, rng);
-        // The generator graph is detached: only D updates here.
-        let fake = pack(&g.forward(&z, cond.as_ref(), rng).detach(), pac);
+        // Only D updates here, so the generator forward records no graph.
+        let fake = pack(&no_grad(|| g.forward(&z, cond.as_ref(), rng)), pac);
 
         zero_grads(&d_params);
         let real_var = pack(&Var::constant(real.samples.clone()), pac);

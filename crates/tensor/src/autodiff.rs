@@ -26,11 +26,28 @@
 //! [`Param`]s, unlike graph nodes, are `Send + Sync` (an `Arc` over a
 //! locked value and gradient): a trained model can be shared by many
 //! threads, each building its own forward graph over the same weights.
+//!
+//! ## Value-only forwards
+//!
+//! A forward whose result is never backpropagated — generation, the
+//! generator pass of a discriminator update — runs under [`no_grad`].
+//! Inside the scope [`Param::var`] returns a constant leaf and every op
+//! computes its value with the same kernels in the same order, but
+//! records no parents, builds no backward closure and clones no input
+//! or output for one: each result is a constant leaf, so every
+//! intermediate tensor is freed as soon as the forward moves past it,
+//! and the values match a taped forward bit for bit.
+//!
+//! The scope is a thread-local flag, restored when the closure returns
+//! or unwinds, because the graph is per thread: pool workers only run
+//! kernels on slices and never build a [`Var`], so the thread that
+//! builds the graph is the only one whose flag matters.
 
 use crate::conv::{
     conv2d, conv2d_grad_input, conv2d_grad_weight, conv_out_dim, conv_transpose_out_dim,
 };
 use crate::tensor::Tensor;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +57,30 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 fn fresh_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+thread_local! {
+    /// False while this thread is inside [`no_grad`].
+    static RECORDING: Cell<bool> = const { Cell::new(true) };
+}
+
+fn recording() -> bool {
+    RECORDING.with(Cell::get)
+}
+
+/// Runs `f` without recording a graph on this thread (see the module
+/// docs, "Value-only forwards"): every [`Var`] built inside is a
+/// constant leaf that reaches no [`Param`]. Scopes nest; the caller's
+/// mode comes back when `f` returns or unwinds.
+pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            RECORDING.with(|r| r.set(self.0));
+        }
+    }
+    let _restore = Restore(RECORDING.with(|r| r.replace(false)));
+    f()
 }
 
 /// A trainable parameter: a tensor plus a shared gradient accumulator.
@@ -127,9 +168,11 @@ impl Param {
         *current = value;
     }
 
-    /// Lifts the parameter into a computation graph leaf.
+    /// Lifts the parameter into a computation graph leaf (a constant
+    /// leaf inside [`no_grad`]).
     pub fn var(&self) -> Var {
-        Var::make(self.value(), Vec::new(), None, Some(self.clone()))
+        let param = recording().then(|| self.clone());
+        Var::make(self.value(), Vec::new(), None, param)
     }
 
     fn accumulate(&self, grad: &Tensor) {
@@ -205,34 +248,51 @@ impl Var {
         self.node.value.shape()
     }
 
-    /// Detaches the value from the graph (gradient stops here).
-    pub fn detach(&self) -> Var {
-        Var::constant(self.node.value.clone())
+    /// The result of an op. Only while recording does it link
+    /// `parents` and build the backward closure: `backward` receives
+    /// the result's value and captures whatever the closure needs.
+    /// Inside [`no_grad`] neither runs, and the result is a constant
+    /// leaf.
+    fn op(
+        value: Tensor,
+        parents: impl FnOnce() -> Vec<Var>,
+        backward: impl FnOnce(&Tensor) -> BackwardFn,
+    ) -> Var {
+        if !recording() {
+            return Var::constant(value);
+        }
+        let backward = backward(&value);
+        Var::make(value, parents(), Some(backward), None)
     }
 
-    fn unary(&self, value: Tensor, backward: impl Fn(&Tensor) -> Tensor + 'static) -> Var {
-        Var::make(
+    fn unary<B>(&self, value: Tensor, backward: impl FnOnce(&Tensor) -> B) -> Var
+    where
+        B: Fn(&Tensor) -> Tensor + 'static,
+    {
+        Var::op(
             value,
-            vec![self.clone()],
-            Some(Box::new(move |g| vec![backward(g)])),
-            None,
+            || vec![self.clone()],
+            |y| {
+                let backward = backward(y);
+                Box::new(move |g| vec![backward(g)])
+            },
         )
     }
 
-    fn binary(
-        &self,
-        other: &Var,
-        value: Tensor,
-        backward: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static,
-    ) -> Var {
-        Var::make(
+    fn binary<B>(&self, other: &Var, value: Tensor, backward: impl FnOnce(&Tensor) -> B) -> Var
+    where
+        B: Fn(&Tensor) -> (Tensor, Tensor) + 'static,
+    {
+        Var::op(
             value,
-            vec![self.clone(), other.clone()],
-            Some(Box::new(move |g| {
-                let (ga, gb) = backward(g);
-                vec![ga, gb]
-            })),
-            None,
+            || vec![self.clone(), other.clone()],
+            |y| {
+                let backward = backward(y);
+                Box::new(move |g| {
+                    let (ga, gb) = backward(g);
+                    vec![ga, gb]
+                })
+            },
         )
     }
 
@@ -241,31 +301,33 @@ impl Var {
     /// Elementwise addition.
     pub fn add(&self, other: &Var) -> Var {
         let v = self.value().add(other.value());
-        self.binary(other, v, |g| (g.clone(), g.clone()))
+        self.binary(other, v, |_| |g| (g.clone(), g.clone()))
     }
 
     /// Elementwise subtraction.
     pub fn sub(&self, other: &Var) -> Var {
         let v = self.value().sub(other.value());
-        self.binary(other, v, |g| (g.clone(), g.neg()))
+        self.binary(other, v, |_| |g| (g.clone(), g.neg()))
     }
 
     /// Elementwise multiplication.
     pub fn mul(&self, other: &Var) -> Var {
         let v = self.value().mul(other.value());
-        let a = self.value().clone();
-        let b = other.value().clone();
-        self.binary(other, v, move |g| (g.mul(&b), g.mul(&a)))
+        self.binary(other, v, |_| {
+            let a = self.value().clone();
+            let b = other.value().clone();
+            move |g| (g.mul(&b), g.mul(&a))
+        })
     }
 
     /// Adds a scalar.
     pub fn add_scalar(&self, s: f32) -> Var {
-        self.unary(self.value().add_scalar(s), |g| g.clone())
+        self.unary(self.value().add_scalar(s), |_| |g| g.clone())
     }
 
     /// Multiplies by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Var {
-        self.unary(self.value().mul_scalar(s), move |g| g.mul_scalar(s))
+        self.unary(self.value().mul_scalar(s), |_| move |g| g.mul_scalar(s))
     }
 
     /// Elementwise negation.
@@ -275,82 +337,91 @@ impl Var {
 
     /// Elementwise square.
     pub fn sqr(&self) -> Var {
-        let x = self.value().clone();
-        self.unary(self.value().sqr(), move |g| g.mul(&x).mul_scalar(2.0))
+        self.unary(self.value().sqr(), |_| {
+            let x = self.value().clone();
+            move |g| g.mul(&x).mul_scalar(2.0)
+        })
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
-        let y = self.value().sqrt();
-        let yc = y.clone();
-        self.unary(y, move |g| g.zip(&yc, |gi, yi| gi * 0.5 / yi.max(1e-12)))
+        self.unary(self.value().sqrt(), |y| {
+            let y = y.clone();
+            move |g| g.zip(&y, |gi, yi| gi * 0.5 / yi.max(1e-12))
+        })
     }
 
     /// Natural logarithm with an epsilon floor for stability.
     pub fn ln_eps(&self, eps: f32) -> Var {
-        let x = self.value().clone();
-        self.unary(self.value().map(|v| (v + eps).ln()), move |g| {
-            g.zip(&x, move |gi, xi| gi / (xi + eps))
+        self.unary(self.value().map(|v| (v + eps).ln()), |_| {
+            let x = self.value().clone();
+            move |g| g.zip(&x, move |gi, xi| gi / (xi + eps))
         })
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        let y = self.value().map(f32::exp);
-        let yc = y.clone();
-        self.unary(y, move |g| g.mul(&yc))
+        self.unary(self.value().map(f32::exp), |y| {
+            let y = y.clone();
+            move |g| g.mul(&y)
+        })
     }
 
     // ----- activations -----
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        let x = self.value().clone();
-        self.unary(self.value().map(|v| v.max(0.0)), move |g| {
-            g.zip(&x, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+        self.unary(self.value().map(|v| v.max(0.0)), |_| {
+            let x = self.value().clone();
+            move |g| g.zip(&x, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
         })
     }
 
     /// Leaky ReLU with slope `alpha` for negative inputs.
     pub fn leaky_relu(&self, alpha: f32) -> Var {
-        let x = self.value().clone();
         self.unary(
             self.value()
                 .map(move |v| if v > 0.0 { v } else { alpha * v }),
-            move |g| g.zip(&x, move |gi, xi| if xi > 0.0 { gi } else { alpha * gi }),
+            |_| {
+                let x = self.value().clone();
+                move |g| g.zip(&x, move |gi, xi| if xi > 0.0 { gi } else { alpha * gi })
+            },
         )
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let y = self.value().map(f32::tanh);
-        let yc = y.clone();
-        self.unary(y, move |g| g.zip(&yc, |gi, yi| gi * (1.0 - yi * yi)))
+        self.unary(self.value().map(f32::tanh), |y| {
+            let y = y.clone();
+            move |g| g.zip(&y, |gi, yi| gi * (1.0 - yi * yi))
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let y = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
-        let yc = y.clone();
-        self.unary(y, move |g| g.zip(&yc, |gi, yi| gi * yi * (1.0 - yi)))
+        self.unary(self.value().map(|v| 1.0 / (1.0 + (-v).exp())), |y| {
+            let y = y.clone();
+            move |g| g.zip(&y, |gi, yi| gi * yi * (1.0 - yi))
+        })
     }
 
     /// Numerically stable row-wise softmax of a `[B, D]` tensor.
     pub fn softmax_rows(&self) -> Var {
-        let y = self.value().softmax_rows();
-        let yc = y.clone();
-        self.unary(y, move |g| {
-            // dx_i = s_i * (g_i - Σ_j g_j s_j), per row.
-            let mut out = g.clone();
-            for r in 0..out.rows() {
-                let s = yc.row(r);
-                let dot: f32 = out.row(r).iter().zip(s).map(|(gi, si)| gi * si).sum();
-                let row = out.row_mut(r);
-                for (xi, &si) in row.iter_mut().zip(s) {
-                    *xi = si * (*xi - dot);
+        self.unary(self.value().softmax_rows(), |y| {
+            let y = y.clone();
+            move |g| {
+                // dx_i = s_i * (g_i - Σ_j g_j s_j), per row.
+                let mut out = g.clone();
+                for r in 0..out.rows() {
+                    let s = y.row(r);
+                    let dot: f32 = out.row(r).iter().zip(s).map(|(gi, si)| gi * si).sum();
+                    let row = out.row_mut(r);
+                    for (xi, &si) in row.iter_mut().zip(s) {
+                        *xi = si * (*xi - dot);
+                    }
                 }
+                out
             }
-            out
         })
     }
 
@@ -360,32 +431,36 @@ impl Var {
     /// operand.
     pub fn add_row(&self, row: &Var) -> Var {
         let v = self.value().add_row(row.value());
-        self.binary(row, v, |g| (g.clone(), g.sum_axis0()))
+        self.binary(row, v, |_| |g| (g.clone(), g.sum_axis0()))
     }
 
     /// `[B, D] - [D]`.
     pub fn sub_row(&self, row: &Var) -> Var {
         let v = self.value().sub_row(row.value());
-        self.binary(row, v, |g| (g.clone(), g.sum_axis0().neg()))
+        self.binary(row, v, |_| |g| (g.clone(), g.sum_axis0().neg()))
     }
 
     /// `[B, D] * [D]` (per-column scaling).
     pub fn mul_row(&self, row: &Var) -> Var {
         let v = self.value().mul_row(row.value());
-        let x = self.value().clone();
-        let r = row.value().clone();
-        self.binary(row, v, move |g| (g.mul_row(&r), g.mul(&x).sum_axis0()))
+        self.binary(row, v, |_| {
+            let x = self.value().clone();
+            let r = row.value().clone();
+            move |g| (g.mul_row(&r), g.mul(&x).sum_axis0())
+        })
     }
 
     /// `[B, D] / [D]` (per-column division).
     pub fn div_row(&self, row: &Var) -> Var {
         let v = self.value().div_row(row.value());
-        let x = self.value().clone();
-        let r = row.value().clone();
-        self.binary(row, v, move |g| {
-            let gx = g.div_row(&r);
-            let gr = g.mul(&x).sum_axis0().zip(&r, |num, ri| -num / (ri * ri));
-            (gx, gr)
+        self.binary(row, v, |_| {
+            let x = self.value().clone();
+            let r = row.value().clone();
+            move |g| {
+                let gx = g.div_row(&r);
+                let gr = g.mul(&x).sum_axis0().zip(&r, |num, ri| -num / (ri * ri));
+                (gx, gr)
+            }
         })
     }
 
@@ -394,18 +469,21 @@ impl Var {
     /// Matrix product `[M, K] x [K, N] -> [M, N]`.
     pub fn matmul(&self, other: &Var) -> Var {
         let v = self.value().matmul(other.value());
-        let a = self.value().clone();
-        let b = other.value().clone();
-        self.binary(other, v, move |g| (g.matmul_nt(&b), a.matmul_tn(g)))
+        self.binary(other, v, |_| {
+            let a = self.value().clone();
+            let b = other.value().clone();
+            move |g| (g.matmul_nt(&b), a.matmul_tn(g))
+        })
     }
 
     // ----- shape ops -----
 
     /// Reshape; gradient reshapes back.
     pub fn reshape(&self, shape: &[usize]) -> Var {
-        let original = self.shape().to_vec();
-        let v = self.value().reshape(shape);
-        self.unary(v, move |g| g.reshape(&original))
+        self.unary(self.value().reshape(shape), |_| {
+            let original = self.shape().to_vec();
+            move |g| g.reshape(&original)
+        })
     }
 
     /// Concatenates 2-D vars along columns.
@@ -413,33 +491,35 @@ impl Var {
         assert!(!parts.is_empty(), "concat_cols of zero vars");
         let tensors: Vec<&Tensor> = parts.iter().map(|p| p.value()).collect();
         let value = Tensor::concat_cols(&tensors);
-        let widths: Vec<usize> = parts.iter().map(|p| p.value().cols()).collect();
-        Var::make(
+        Var::op(
             value,
-            parts.to_vec(),
-            Some(Box::new(move |g| {
-                let mut grads = Vec::with_capacity(widths.len());
-                let mut lo = 0;
-                for &w in &widths {
-                    grads.push(g.slice_cols(lo, lo + w));
-                    lo += w;
-                }
-                grads
-            })),
-            None,
+            || parts.to_vec(),
+            |_| {
+                let widths: Vec<usize> = parts.iter().map(|p| p.value().cols()).collect();
+                Box::new(move |g| {
+                    let mut grads = Vec::with_capacity(widths.len());
+                    let mut lo = 0;
+                    for &w in &widths {
+                        grads.push(g.slice_cols(lo, lo + w));
+                        lo += w;
+                    }
+                    grads
+                })
+            },
         )
     }
 
     /// Extracts columns `[lo, hi)` of a 2-D var.
     pub fn slice_cols(&self, lo: usize, hi: usize) -> Var {
-        let v = self.value().slice_cols(lo, hi);
         let cols = self.value().cols();
-        self.unary(v, move |g| {
-            let mut full = Tensor::zeros(&[g.rows(), cols]);
-            for r in 0..g.rows() {
-                full.row_mut(r)[lo..hi].copy_from_slice(g.row(r));
+        self.unary(self.value().slice_cols(lo, hi), |_| {
+            move |g| {
+                let mut full = Tensor::zeros(&[g.rows(), cols]);
+                for r in 0..g.rows() {
+                    full.row_mut(r)[lo..hi].copy_from_slice(g.row(r));
+                }
+                full
             }
-            full
         })
     }
 
@@ -447,9 +527,11 @@ impl Var {
 
     /// Sum of all elements, as a `[1]` var.
     pub fn sum(&self) -> Var {
-        let shape = self.shape().to_vec();
         let v = Tensor::from_vec(vec![self.value().sum()], &[1]);
-        self.unary(v, move |g| Tensor::full(&shape, g.data()[0]))
+        self.unary(v, |_| {
+            let shape = self.shape().to_vec();
+            move |g| Tensor::full(&shape, g.data()[0])
+        })
     }
 
     /// Mean of all elements, as a `[1]` var.
@@ -462,15 +544,16 @@ impl Var {
     pub fn mean_axis0(&self) -> Var {
         let rows = self.value().rows();
         let cols = self.value().cols();
-        let v = self.value().mean_axis0();
-        self.unary(v, move |g| {
-            // Every row receives g / B.
-            let scaled = g.mul_scalar(1.0 / rows as f32);
-            let mut out = Tensor::zeros(&[rows, cols]);
-            for r in 0..rows {
-                out.row_mut(r).copy_from_slice(scaled.data());
+        self.unary(self.value().mean_axis0(), |_| {
+            move |g| {
+                // Every row receives g / B.
+                let scaled = g.mul_scalar(1.0 / rows as f32);
+                let mut out = Tensor::zeros(&[rows, cols]);
+                for r in 0..rows {
+                    out.row_mut(r).copy_from_slice(scaled.data());
+                }
+                out
             }
-            out
         })
     }
 
@@ -483,34 +566,39 @@ impl Var {
     /// `dloss/dx = (σ(x) - y) / N`.
     pub fn bce_with_logits(&self, targets: &Tensor) -> Var {
         assert_eq!(self.shape(), targets.shape(), "bce target shape mismatch");
-        let x = self.value().clone();
-        let y = targets.clone();
-        let n = x.numel() as f32;
-        let loss = x
-            .zip(&y, |xi, yi| {
+        let n = self.value().numel() as f32;
+        let loss = self
+            .value()
+            .zip(targets, |xi, yi| {
                 xi.max(0.0) - xi * yi + (1.0 + (-xi.abs()).exp()).ln()
             })
             .sum()
             / n;
-        self.unary(Tensor::from_vec(vec![loss], &[1]), move |g| {
-            let scale = g.data()[0] / n;
-            x.zip(&y, |xi, yi| {
-                let sig = 1.0 / (1.0 + (-xi).exp());
-                scale * (sig - yi)
-            })
+        self.unary(Tensor::from_vec(vec![loss], &[1]), |_| {
+            let x = self.value().clone();
+            let y = targets.clone();
+            move |g| {
+                let scale = g.data()[0] / n;
+                x.zip(&y, |xi, yi| {
+                    let sig = 1.0 / (1.0 + (-xi).exp());
+                    scale * (sig - yi)
+                })
+            }
         })
     }
 
     /// Mean squared error against a constant target; returns `[1]`.
     pub fn mse(&self, targets: &Tensor) -> Var {
         assert_eq!(self.shape(), targets.shape(), "mse target shape mismatch");
-        let x = self.value().clone();
-        let y = targets.clone();
-        let n = x.numel() as f32;
-        let loss = x.zip(&y, |a, b| (a - b) * (a - b)).sum() / n;
-        self.unary(Tensor::from_vec(vec![loss], &[1]), move |g| {
-            let scale = 2.0 * g.data()[0] / n;
-            x.zip(&y, |a, b| scale * (a - b))
+        let n = self.value().numel() as f32;
+        let loss = self.value().zip(targets, |a, b| (a - b) * (a - b)).sum() / n;
+        self.unary(Tensor::from_vec(vec![loss], &[1]), |_| {
+            let x = self.value().clone();
+            let y = targets.clone();
+            move |g| {
+                let scale = 2.0 * g.data()[0] / n;
+                x.zip(&y, |a, b| scale * (a - b))
+            }
         })
     }
 
@@ -519,16 +607,18 @@ impl Var {
     /// 2-D convolution: `x [B, C, H, W]`, `w [OC, C, KH, KW]`.
     pub fn conv2d(&self, weight: &Var, stride: usize, pad: usize) -> Var {
         let v = conv2d(self.value(), weight.value(), stride, pad);
-        let x = self.value().clone();
-        let w = weight.value().clone();
-        let (h, wd) = (x.shape()[2], x.shape()[3]);
-        let (kh, kw) = (w.shape()[2], w.shape()[3]);
+        let (h, wd) = (self.shape()[2], self.shape()[3]);
+        let (kh, kw) = (weight.shape()[2], weight.shape()[3]);
         debug_assert_eq!(v.shape()[2], conv_out_dim(h, kh, stride, pad));
-        self.binary(weight, v, move |g| {
-            (
-                conv2d_grad_input(g, &w, (h, wd), stride, pad),
-                conv2d_grad_weight(&x, g, (kh, kw), stride, pad),
-            )
+        self.binary(weight, v, |_| {
+            let x = self.value().clone();
+            let w = weight.value().clone();
+            move |g| {
+                (
+                    conv2d_grad_input(g, &w, (h, wd), stride, pad),
+                    conv2d_grad_weight(&x, g, (kh, kw), stride, pad),
+                )
+            }
         })
     }
 
@@ -543,15 +633,17 @@ impl Var {
         let ow = conv_transpose_out_dim(wd, kw, stride, pad);
         // Forward of convT is the input-gradient primitive of conv.
         let v = conv2d_grad_input(x, w, (oh, ow), stride, pad);
-        let xc = x.clone();
-        let wc = w.clone();
-        self.binary(weight, v, move |g| {
-            // g has the "input" role of the underlying conv; x has the
-            // "output-grad" role.
-            (
-                conv2d(g, &wc, stride, pad),
-                conv2d_grad_weight(g, &xc, (kh, kw), stride, pad),
-            )
+        self.binary(weight, v, |_| {
+            let x = x.clone();
+            let w = w.clone();
+            move |g| {
+                // g has the "input" role of the underlying conv; x has
+                // the "output-grad" role.
+                (
+                    conv2d(g, &w, stride, pad),
+                    conv2d_grad_weight(g, &x, (kh, kw), stride, pad),
+                )
+            }
         })
     }
 
@@ -570,12 +662,14 @@ impl Var {
                 *x += b[(i / hw) % c];
             }
         }
-        self.binary(bias, v, move |g| {
-            let mut gb = vec![0.0f32; c];
-            for (i, &gi) in g.data().iter().enumerate() {
-                gb[(i / hw) % c] += gi;
+        self.binary(bias, v, |_| {
+            move |g| {
+                let mut gb = vec![0.0f32; c];
+                for (i, &gi) in g.data().iter().enumerate() {
+                    gb[(i / hw) % c] += gi;
+                }
+                (g.clone(), Tensor::from_vec(gb, &[c]))
             }
-            (g.clone(), Tensor::from_vec(gb, &[c]))
         })
     }
 
@@ -583,15 +677,17 @@ impl Var {
     /// [`Tensor::bchw_to_nc`]); the gradient applies the inverse
     /// permutation.
     pub fn bchw_to_nc(&self) -> Var {
-        let s = self.shape().to_vec();
+        let s = self.shape();
         assert_eq!(s.len(), 4, "bchw_to_nc requires a 4-D var");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
-        self.unary(self.value().bchw_to_nc(), move |g| g.nc_to_bchw(b, c, h, w))
+        self.unary(self.value().bchw_to_nc(), |_| {
+            move |g| g.nc_to_bchw(b, c, h, w)
+        })
     }
 
     /// `[B*H*W, C] -> [B, C, H, W]` (inverse of [`Var::bchw_to_nc`]).
     pub fn nc_to_bchw(&self, b: usize, c: usize, h: usize, w: usize) -> Var {
-        self.unary(self.value().nc_to_bchw(b, c, h, w), |g| g.bchw_to_nc())
+        self.unary(self.value().nc_to_bchw(b, c, h, w), |_| |g| g.bchw_to_nc())
     }
 
     // ----- backward -----
@@ -880,13 +976,98 @@ mod tests {
         assert_eq!(p.grad().data()[0], 0.0);
     }
 
+    /// Every op once, over two params: a 2-D path (elementwise,
+    /// activations, row broadcasts, matmul, shape ops, losses) and a
+    /// 4-D convolution path. Returns the intermediate results, ending
+    /// with one scalar that depends on all of them.
+    fn every_op(a: &Param, w: &Param) -> Vec<Var> {
+        let x = a.var(); // [4, 6]
+        let row = x.mean_axis0();
+        let y = x
+            .add(&x.mul_scalar(0.5))
+            .sub(&x.sqr())
+            .mul(&x.tanh())
+            .add_scalar(0.1)
+            .add_row(&row)
+            .sub_row(&row.sigmoid())
+            .mul_row(&row.exp())
+            .div_row(&row.sqr().add_scalar(1.0).sqrt());
+        let m = y.matmul(&x.reshape(&[6, 4]).leaky_relu(0.2)); // [4, 4]
+        let parts = Var::concat_cols(&[m.relu(), m.softmax_rows(), m.neg()]);
+        let losses = parts
+            .bce_with_logits(&Tensor::full(parts.shape(), 0.5))
+            .add(&parts.mse(&Tensor::zeros(parts.shape())))
+            .add(&parts.sigmoid().ln_eps(1e-6).mean());
+        let conv = x
+            .reshape(&[1, 1, 4, 6])
+            .conv2d(&w.var(), 1, 1) // [1, 2, 4, 6]
+            .add_channel_bias(&x.slice_cols(0, 2).mean_axis0());
+        let back = conv
+            .bchw_to_nc()
+            .nc_to_bchw(1, 2, 4, 6)
+            .conv_transpose2d(&w.var(), 1, 1); // [1, 1, 4, 6]
+        let total = losses.add(&back.sum());
+        vec![y, m, parts, losses, conv, back, total]
+    }
+
+    fn bits(v: &Var) -> Vec<u32> {
+        v.value().data().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn detach_blocks_gradient() {
+    fn no_grad_computes_the_same_bits_and_reaches_no_param() {
+        let a = Param::new(randn(&[4, 6], 40));
+        let w = Param::new(randn(&[2, 1, 3, 3], 41).mul_scalar(0.5));
+        let free = no_grad(|| every_op(&a, &w));
+        let taped = every_op(&a, &w);
+        for (i, (f, t)) in free.iter().zip(&taped).enumerate() {
+            assert!(bits(f) == bits(t), "intermediate {i} differs");
+            let node = &f.node;
+            assert!(node.parents.is_empty() && node.backward.is_none() && node.param.is_none());
+        }
+
+        free.last().unwrap().backward();
+        assert!(a.grad().data().iter().all(|&g| g == 0.0));
+        assert!(w.grad().data().iter().all(|&g| g == 0.0));
+        // A taped input does not carry its graph through a value-only op.
+        let x = a.var();
+        no_grad(|| x.tanh().sum()).backward();
+        assert!(a.grad().data().iter().all(|&g| g == 0.0));
+        taped.last().unwrap().backward();
+        assert!(a.grad().norm() > 0.0 && w.grad().norm() > 0.0);
+
+        // A value-only var feeding a taped op stops the gradient there.
         let p = Param::new(Tensor::from_slice(&[5.0]));
-        let x = p.var();
-        let y = x.detach().mul(&x).sum(); // only the non-detached side flows
-        y.backward();
-        assert_eq!(p.grad().data()[0], 5.0);
+        let q = Param::new(Tensor::from_slice(&[2.0]));
+        let frozen = no_grad(|| p.var().mul_scalar(3.0));
+        frozen.mul(&q.var()).sum().backward();
+        assert_eq!(p.grad().data()[0], 0.0);
+        assert_eq!(q.grad().data()[0], 15.0);
+    }
+
+    #[test]
+    fn no_grad_nests_and_ops_record_again_after_it() {
+        let p = Param::new(Tensor::from_slice(&[2.0]));
+        let (leaf, after_inner) = no_grad(|| {
+            let leaf = no_grad(|| p.var());
+            // Leaving the inner scope keeps the outer one in force.
+            (leaf, p.var().sqr())
+        });
+        leaf.sqr().sum().backward();
+        after_inner.sum().backward();
+        assert_eq!(p.grad().data()[0], 0.0);
+
+        p.var().sqr().sum().backward();
+        assert_eq!(p.grad().data()[0], 4.0);
+    }
+
+    #[test]
+    fn no_grad_is_restored_after_a_panic_inside_it() {
+        let caught = std::panic::catch_unwind(|| no_grad::<()>(|| panic!("inside the scope")));
+        assert!(caught.is_err());
+        let p = Param::new(Tensor::from_slice(&[3.0]));
+        p.var().sqr().sum().backward();
+        assert_eq!(p.grad().data()[0], 6.0);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! - [`ops`] / [`linalg`] / [`conv`] — elementwise math, reductions,
 //!   matmul, convolution primitives.
 //! - [`autodiff`] — [`Var`]/[`Param`] computation graph with
-//!   backpropagation.
+//!   backpropagation, and the [`no_grad`] scope for value-only
+//!   forwards.
 //! - [`pool`] — the worker pool behind the parallel kernels.
 //!
 //! ## Example
@@ -48,6 +49,6 @@ pub mod pool;
 pub mod rng;
 pub mod tensor;
 
-pub use autodiff::{Param, Var};
+pub use autodiff::{no_grad, Param, Var};
 pub use rng::{Rng, RngState};
 pub use tensor::Tensor;
