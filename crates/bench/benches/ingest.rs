@@ -7,7 +7,6 @@
 //! external benchmarking dependency).
 
 use daisy_core::sampler::{BatchSource, TrainingData};
-use daisy_core::ChunkedTrainingData;
 use daisy_data::{
     ingest_csv, ChunkSource, ChunkStore, IngestConfig, RecordCodec, RowErrorPolicy,
     TransformConfig,
@@ -101,14 +100,14 @@ fn main() {
     let config = TransformConfig::gn_ht();
     let codec = RecordCodec::fit_chunks(&store, &config).expect("fit");
     let resident = TrainingData::from_table(&table, &codec);
-    let streamed = ChunkedTrainingData::new(&store, &codec).expect("streamed");
+    let streamed = TrainingData::from_chunks(&store, &codec).expect("streamed");
     bench("sample_random_resident_b256", 30, || {
         let mut rng = Rng::seed_from_u64(3);
-        black_box(resident.sample_random(256, true, &mut rng));
+        black_box(resident.sample_random(256, true, &mut rng).expect("sample"));
     });
     bench("sample_random_chunked_b256", 30, || {
         let mut rng = Rng::seed_from_u64(3);
-        black_box(BatchSource::sample_random(&streamed, 256, true, &mut rng).expect("sample"));
+        black_box(streamed.sample_random(256, true, &mut rng).expect("sample"));
     });
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -33,7 +33,6 @@ pub mod output_head;
 pub mod persist;
 pub mod row_stream;
 pub mod sampler;
-pub mod stream_data;
 pub mod synthesizer;
 pub mod train;
 
@@ -52,7 +51,6 @@ pub use model_selection::{default_candidates, random_search, HyperParams, Search
 pub use persist::PersistError;
 pub use row_stream::RowStream;
 pub use sampler::{BatchSource, Minibatch, TrainingData};
-pub use stream_data::ChunkedTrainingData;
 pub use synthesizer::{FittedSynthesizer, SampleCodec, Synthesizer, TableSynthesizer};
 pub use train::{
     train_gan, train_gan_checkpointed, train_gan_resilient, EpochStats, ResilientRun, TrainingRun,

@@ -9,7 +9,7 @@ use crate::fault::FaultPlan;
 use crate::generator::{CnnGenerator, Generator, LstmGenerator, MlpGenerator};
 use crate::guard::{GuardConfig, TrainError, TrainOutcome};
 use crate::output_head::softmax_spans;
-use crate::sampler::TrainingData;
+use crate::sampler::{BatchSource, TrainingData};
 use crate::train::{train_gan_checkpointed, EpochStats, TrainingRun};
 use daisy_data::{Column, MatrixCodec, OutputBlock, RecordCodec, Schema, Table};
 use daisy_nn::restore;

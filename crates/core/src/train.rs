@@ -920,7 +920,7 @@ mod tests {
     fn setup(
         cfg: &TrainConfig,
         seed: u64,
-    ) -> (MlpGenerator, MlpDiscriminator, TrainingData, Vec<(usize, usize)>) {
+    ) -> (MlpGenerator, MlpDiscriminator, TrainingData<'static>, Vec<(usize, usize)>) {
         let table = tiny_table(400, seed);
         let codec = RecordCodec::fit(&table, &TransformConfig::sn_ht());
         let data = TrainingData::from_table(&table, &codec);

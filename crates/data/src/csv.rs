@@ -14,7 +14,55 @@ use crate::error::DataError;
 use crate::schema::Schema;
 use crate::table::{Column, Table};
 use crate::value::Attribute;
-use std::io::{BufRead, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, Lines, Write};
+
+/// First-appearance interner for categorical cells: codes count up in
+/// the order values first appear, and lookups go through an ordered
+/// map (no hash iteration anywhere, per workspace determinism rules).
+/// The one interner behind [`read_csv`] and both ingest passes.
+#[derive(Default)]
+pub(crate) struct Dict {
+    order: Vec<String>,
+    index: BTreeMap<String, u32>,
+}
+
+impl Dict {
+    /// A dictionary whose codes are the positions in `order`.
+    pub(crate) fn from_order(order: Vec<String>) -> Dict {
+        let mut index = BTreeMap::new();
+        for (code, value) in order.iter().enumerate() {
+            index.entry(value.clone()).or_insert(code as u32);
+        }
+        Dict { order, index }
+    }
+
+    /// The code of `value`, if it has one.
+    pub(crate) fn get(&self, value: &str) -> Option<u32> {
+        self.index.get(value).copied()
+    }
+
+    /// The code of `value`, assigning the next one on first sight.
+    pub(crate) fn intern(&mut self, value: &str) -> u32 {
+        if let Some(code) = self.get(value) {
+            return code;
+        }
+        let code = self.order.len() as u32;
+        self.order.push(value.to_string());
+        self.index.insert(value.to_string(), code);
+        code
+    }
+
+    /// The values in code order.
+    pub(crate) fn order(&self) -> &[String] {
+        &self.order
+    }
+
+    /// The values in code order, consuming the dictionary.
+    pub(crate) fn into_order(self) -> Vec<String> {
+        self.order
+    }
+}
 
 /// Escapes one cell for CSV output. Returns `None` if the cell cannot
 /// be written at all (embedded line break); otherwise the cell, quoted
@@ -88,6 +136,32 @@ pub(crate) fn parse_record(line: &str, line_no: usize) -> Result<Vec<String>, Da
     Ok(cells)
 }
 
+/// Reads and checks the header line: every column needs a distinct,
+/// non-blank name, and `label`, when given, must name one of them.
+/// Returns the raw line and the column names. Shared by [`read_csv`]
+/// and streaming ingestion.
+pub(crate) fn read_header<B: BufRead>(
+    lines: &mut Lines<B>,
+    label: Option<&str>,
+) -> Result<(String, Vec<String>), DataError> {
+    let header = lines.next().ok_or(DataError::EmptyCsv)??;
+    let names = parse_record(&header, 1)?;
+    for (j, name) in names.iter().enumerate() {
+        if name.is_empty() {
+            return Err(DataError::BlankColumnName { column: j });
+        }
+        if names[..j].contains(name) {
+            return Err(DataError::DuplicateColumn { name: name.clone() });
+        }
+    }
+    if let Some(l) = label {
+        if !names.iter().any(|name| name == l) {
+            return Err(DataError::UnknownLabel { name: l.to_string() });
+        }
+    }
+    Ok((header, names))
+}
+
 /// Serializes a table as CSV with a header row.
 ///
 /// Fields containing commas or quotes are quoted per RFC-4180. Fails
@@ -130,22 +204,8 @@ pub fn write_csv<W: Write>(table: &Table, mut out: W) -> Result<(), DataError> {
 /// a [`DataError::UnknownLabel`].
 pub fn read_csv<R: BufRead>(input: R, label: Option<&str>) -> Result<Table, DataError> {
     let mut lines = input.lines();
-    let header = lines.next().ok_or(DataError::EmptyCsv)??;
-    let names = parse_record(&header, 1)?;
+    let (_, names) = read_header(&mut lines, label)?;
     let n = names.len();
-    for (j, name) in names.iter().enumerate() {
-        if name.is_empty() {
-            return Err(DataError::BlankColumnName { column: j });
-        }
-        if names[..j].contains(name) {
-            return Err(DataError::DuplicateColumn { name: name.clone() });
-        }
-    }
-    if let Some(l) = label {
-        if !names.iter().any(|name| name == l) {
-            return Err(DataError::UnknownLabel { name: l.to_string() });
-        }
-    }
 
     let mut cells: Vec<Vec<String>> = vec![Vec::new(); n];
     let mut line_nos: Vec<usize> = Vec::new();
@@ -195,19 +255,12 @@ pub fn read_csv<R: BufRead>(input: R, label: Option<&str>) -> Result<Table, Data
             columns.push(Column::Num(parsed));
         } else {
             attrs.push(Attribute::categorical(name.clone()));
-            let mut categories: Vec<String> = Vec::new();
-            let mut codes = Vec::with_capacity(col.len());
-            for v in col {
-                let code = match categories.iter().position(|c| c == v) {
-                    Some(p) => p,
-                    None => {
-                        categories.push(v.clone());
-                        categories.len() - 1
-                    }
-                };
-                codes.push(code as u32);
-            }
-            columns.push(Column::Cat { codes, categories });
+            let mut dict = Dict::default();
+            let codes = col.iter().map(|v| dict.intern(v)).collect();
+            columns.push(Column::Cat {
+                codes,
+                categories: dict.into_order(),
+            });
         }
     }
     let schema = match label.and_then(|l| names.iter().position(|n| n == l)) {

@@ -79,6 +79,14 @@ pub enum DataError {
         /// What failed: bad magic, short frame, checksum mismatch.
         detail: String,
     },
+    /// A chunk source's chunks do not partition its rows the way
+    /// [`crate::ChunkSource`] promises: a chunk before the last holds
+    /// other than `chunk_rows` rows, the last holds more, or the chunks
+    /// add up to other than the source's row count.
+    BadPartition {
+        /// What disagreed.
+        detail: String,
+    },
     /// Resumed ingestion found an input or journal that disagrees with
     /// what the journal recorded (schema drift, shorter input, edited
     /// rows).
@@ -145,6 +153,9 @@ impl fmt::Display for DataError {
             }
             DataError::CorruptManifest { path, detail } => {
                 write!(f, "corrupt manifest {}: {detail}", path.display())
+            }
+            DataError::BadPartition { detail } => {
+                write!(f, "chunks do not partition the rows: {detail}")
             }
             DataError::SchemaMismatch { detail } => {
                 write!(f, "resume mismatch: {detail}")

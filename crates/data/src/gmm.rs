@@ -2,6 +2,9 @@
 //! maximization, powering the paper's GMM-based (mode-specific)
 //! normalization of numerical attributes (§4).
 
+use crate::error::DataError;
+use std::convert::Infallible;
+
 /// A fitted univariate Gaussian mixture.
 #[derive(Debug, Clone)]
 pub struct Gmm1d {
@@ -27,62 +30,16 @@ impl Gmm1d {
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-        // Quantile initialization.
-        let mut means: Vec<f64> = (0..s)
+        // Exact quantile initialization.
+        let means: Vec<f64> = (0..s)
             .map(|i| sorted[(i * (n - 1)) / s.max(1)])
             .collect();
         let global_std = std_dev(values).max(STD_FLOOR);
-        let mut stds = vec![global_std; s];
-        let mut weights = vec![1.0 / s as f64; s];
-
-        let mut resp = vec![0.0f64; s];
-        for _ in 0..iterations {
-            // Accumulators for the M step.
-            let mut wsum = vec![0.0f64; s];
-            let mut msum = vec![0.0f64; s];
-            let mut vsum = vec![0.0f64; s];
-            for &x in values {
-                // E step for one point.
-                let mut total = 0.0;
-                for k in 0..s {
-                    resp[k] = weights[k] * gauss_pdf(x, means[k], stds[k]);
-                    total += resp[k];
-                }
-                if total <= 0.0 {
-                    // All densities underflowed; assign to nearest mean.
-                    let k = nearest(&means, x);
-                    resp.fill(0.0);
-                    resp[k] = 1.0;
-                    total = 1.0;
-                }
-                for k in 0..s {
-                    let r = resp[k] / total;
-                    wsum[k] += r;
-                    msum[k] += r * x;
-                    vsum[k] += r * x * x;
-                }
-            }
-            // M step.
-            for k in 0..s {
-                if wsum[k] < 1e-10 {
-                    weights[k] = 0.0;
-                    continue;
-                }
-                weights[k] = wsum[k] / n as f64;
-                means[k] = msum[k] / wsum[k];
-                let var = (vsum[k] / wsum[k] - means[k] * means[k]).max(STD_FLOOR * STD_FLOOR);
-                stds[k] = var.sqrt();
-            }
-        }
-
-        // Drop dead components.
-        let alive: Vec<usize> = (0..s).filter(|&k| weights[k] > 1e-9).collect();
-        let gmm = Gmm1d {
-            weights: alive.iter().map(|&k| weights[k]).collect(),
-            means: alive.iter().map(|&k| means[k]).collect(),
-            stds: alive.iter().map(|&k| stds[k]).collect(),
+        let pass = |f: &mut dyn FnMut(f64)| -> Result<(), Infallible> {
+            values.iter().for_each(|&x| f(x));
+            Ok(())
         };
-        assert!(!gmm.means.is_empty(), "EM lost all components");
+        let Ok(gmm) = em(pass, n, means, global_std, iterations);
         gmm
     }
 
@@ -94,20 +51,22 @@ impl Gmm1d {
     /// variance, one histogram pass for quantile initialization, and
     /// one per EM iteration.
     ///
-    /// The EM arithmetic is identical (same accumulation order) to the
-    /// in-memory fit, but initialization is intentionally different:
-    /// exact sorted quantiles would require materializing the column,
-    /// so component means start at approximate quantiles from a
-    /// 1024-bin histogram. Both are deterministic; a streaming fit is
+    /// Both fits run the same EM routine, so everything after
+    /// initialization is shared arithmetic. Initialization is
+    /// intentionally different: exact sorted quantiles would require
+    /// materializing the column, so component means start at
+    /// approximate quantiles from a 1024-bin histogram, and the global
+    /// standard deviation comes from Welford's one-pass update rather
+    /// than two passes. Both are deterministic; a streaming fit is
     /// bit-identical across chunk backends and thread counts, but not
     /// to [`Gmm1d::fit`] on the same data.
     pub fn fit_streaming<F>(
         mut for_each: F,
         s: usize,
         iterations: usize,
-    ) -> Result<Gmm1d, crate::error::DataError>
+    ) -> Result<Gmm1d, DataError>
     where
-        F: FnMut(&mut dyn FnMut(f64)) -> Result<(), crate::error::DataError>,
+        F: FnMut(&mut dyn FnMut(f64)) -> Result<(), DataError>,
     {
         assert!(s > 0, "need at least one component");
 
@@ -141,73 +100,17 @@ impl Gmm1d {
             hist[b] += 1;
         })?;
         let mut means = Vec::with_capacity(s);
-        {
-            let mut bin = 0usize;
-            let mut cum = hist[0];
-            for i in 0..s {
-                let rank = ((i * (n - 1)) / s) as u64;
-                while cum <= rank && bin + 1 < BINS {
-                    bin += 1;
-                    cum += hist[bin];
-                }
-                means.push(min + (bin as f64 + 0.5) * width);
+        let mut bin = 0usize;
+        let mut cum = hist[0];
+        for i in 0..s {
+            let rank = ((i * (n - 1)) / s) as u64;
+            while cum <= rank && bin + 1 < BINS {
+                bin += 1;
+                cum += hist[bin];
             }
+            means.push(min + (bin as f64 + 0.5) * width);
         }
-        let mut stds = vec![global_std; s];
-        let mut weights = vec![1.0 / s as f64; s];
-
-        // EM: one streaming pass per iteration, accumulating in the
-        // same order as the in-memory fit.
-        let mut resp = vec![0.0f64; s];
-        for _ in 0..iterations {
-            let mut wsum = vec![0.0f64; s];
-            let mut msum = vec![0.0f64; s];
-            let mut vsum = vec![0.0f64; s];
-            {
-                let means = &means;
-                let stds = &stds;
-                let weights = &weights;
-                let resp = &mut resp;
-                for_each(&mut |x| {
-                    let mut total = 0.0;
-                    for k in 0..s {
-                        resp[k] = weights[k] * gauss_pdf(x, means[k], stds[k]);
-                        total += resp[k];
-                    }
-                    if total <= 0.0 {
-                        let k = nearest(means, x);
-                        resp.fill(0.0);
-                        resp[k] = 1.0;
-                        total = 1.0;
-                    }
-                    for k in 0..s {
-                        let r = resp[k] / total;
-                        wsum[k] += r;
-                        msum[k] += r * x;
-                        vsum[k] += r * x * x;
-                    }
-                })?;
-            }
-            for k in 0..s {
-                if wsum[k] < 1e-10 {
-                    weights[k] = 0.0;
-                    continue;
-                }
-                weights[k] = wsum[k] / n as f64;
-                means[k] = msum[k] / wsum[k];
-                let var = (vsum[k] / wsum[k] - means[k] * means[k]).max(STD_FLOOR * STD_FLOOR);
-                stds[k] = var.sqrt();
-            }
-        }
-
-        let alive: Vec<usize> = (0..s).filter(|&k| weights[k] > 1e-9).collect();
-        let gmm = Gmm1d {
-            weights: alive.iter().map(|&k| weights[k]).collect(),
-            means: alive.iter().map(|&k| means[k]).collect(),
-            stds: alive.iter().map(|&k| stds[k]).collect(),
-        };
-        assert!(!gmm.means.is_empty(), "EM lost all components");
-        Ok(gmm)
+        em(for_each, n, means, global_std, iterations)
     }
 
     /// Reassembles a fitted mixture from its parameters (for model
@@ -278,6 +181,73 @@ impl Gmm1d {
         assert!(k < self.n_components(), "component index out of range");
         v_gmm * 2.0 * self.stds[k] + self.means[k]
     }
+}
+
+/// EM from the given initial means, with uniform weights and
+/// `global_std` for every component: one pass over the `n` values
+/// (streamed by `for_each`) per iteration, then dead components are
+/// dropped. Both fits end here.
+fn em<F, E>(
+    mut for_each: F,
+    n: usize,
+    mut means: Vec<f64>,
+    global_std: f64,
+    iterations: usize,
+) -> Result<Gmm1d, E>
+where
+    F: FnMut(&mut dyn FnMut(f64)) -> Result<(), E>,
+{
+    let s = means.len();
+    let mut stds = vec![global_std; s];
+    let mut weights = vec![1.0 / s as f64; s];
+    let mut resp = vec![0.0f64; s];
+    for _ in 0..iterations {
+        // Accumulators for the M step.
+        let mut wsum = vec![0.0f64; s];
+        let mut msum = vec![0.0f64; s];
+        let mut vsum = vec![0.0f64; s];
+        for_each(&mut |x| {
+            // E step for one point.
+            let mut total = 0.0;
+            for k in 0..s {
+                resp[k] = weights[k] * gauss_pdf(x, means[k], stds[k]);
+                total += resp[k];
+            }
+            if total <= 0.0 {
+                // All densities underflowed; assign to nearest mean.
+                let k = nearest(&means, x);
+                resp.fill(0.0);
+                resp[k] = 1.0;
+                total = 1.0;
+            }
+            for k in 0..s {
+                let r = resp[k] / total;
+                wsum[k] += r;
+                msum[k] += r * x;
+                vsum[k] += r * x * x;
+            }
+        })?;
+        // M step.
+        for k in 0..s {
+            if wsum[k] < 1e-10 {
+                weights[k] = 0.0;
+                continue;
+            }
+            weights[k] = wsum[k] / n as f64;
+            means[k] = msum[k] / wsum[k];
+            let var = (vsum[k] / wsum[k] - means[k] * means[k]).max(STD_FLOOR * STD_FLOOR);
+            stds[k] = var.sqrt();
+        }
+    }
+
+    // Drop dead components.
+    let alive: Vec<usize> = (0..s).filter(|&k| weights[k] > 1e-9).collect();
+    assert!(!alive.is_empty(), "EM lost all components");
+    Ok(Gmm1d {
+        weights: alive.iter().map(|&k| weights[k]).collect(),
+        means: alive.iter().map(|&k| means[k]).collect(),
+        stds: alive.iter().map(|&k| stds[k]).collect(),
+    })
 }
 
 fn gauss_pdf(x: f64, mean: f64, std: f64) -> f64 {
@@ -433,6 +403,34 @@ mod tests {
         let (v, k) = gmm.normalize(7.0);
         assert!(v.abs() < 1e-6);
         assert!((gmm.denormalize(v, k) - 7.0).abs() < 1e-6);
+    }
+
+    /// Both fits, pinned to the bit on a fixed bimodal sample. They run
+    /// one EM routine from different initializations (exact quantiles
+    /// and a two-pass deviation against histogram quantiles and a
+    /// Welford deviation), so their results differ from each other.
+    #[test]
+    fn fits_are_pinned_to_the_bit() {
+        let data = bimodal_sample(500, 7);
+        let bits = |g: &Gmm1d| -> [Vec<u64>; 3] {
+            [g.weights(), g.means(), g.stds()].map(|v| v.iter().map(|x| x.to_bits()).collect())
+        };
+        assert_eq!(
+            bits(&Gmm1d::fit(&data, 3, 20)),
+            [
+                vec![0x3fcae24f4ac960a6, 0x3fd32555d2d7a571, 0x3fdf698287c3aa39],
+                vec![0x4031148d058e782a, 0x403760c8046eea88, 0x4048f6965528b5b0],
+                vec![0x4020355df5e2fd46, 0x4026d7aa1676d33f, 0x40149b756564f0c0],
+            ]
+        );
+        assert_eq!(
+            bits(&stream_fit(&data, 64, 3, 20)),
+            [
+                vec![0x3fcae4d3f2e5e9bc, 0x3fd323a594e4860f, 0x3fdf69f071a88509],
+                vec![0x403114cb46ad235c, 0x40376089f48c02fc, 0x4048f68dc77c9501],
+                vec![0x4020365f270ba5b6, 0x4026d6c2c3d3cbdf, 0x40149ba27d570b9c],
+            ]
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! [`IngestConfig::io_faults`]. The append-only journal records and the
 //! rejected-row ledger are appended in place and stay outside it.
 
-use crate::csv::parse_record;
+use crate::csv::{parse_record, read_header, Dict};
 use crate::error::DataError;
 use crate::schema::Schema;
 use crate::store::chunk::{self, chunk_file_name};
@@ -338,62 +338,8 @@ fn append_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 // pass 1: schema inference
 // ---------------------------------------------------------------------
 
-/// Deterministic first-appearance interner with `O(log k)` lookups
-/// (no hash iteration anywhere, per workspace determinism rules).
-struct Dict {
-    order: Vec<String>,
-    sorted: Vec<(String, u32)>,
-}
-
-impl Dict {
-    fn from_order(order: Vec<String>) -> Dict {
-        let mut sorted: Vec<(String, u32)> = order
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        Dict { order, sorted }
-    }
-
-    fn get(&self, s: &str) -> Option<u32> {
-        self.sorted
-            .binary_search_by(|(k, _)| k.as_str().cmp(s))
-            .ok()
-            .map(|i| self.sorted[i].1)
-    }
-
-    fn intern(&mut self, s: &str) {
-        if let Err(at) = self.sorted.binary_search_by(|(k, _)| k.as_str().cmp(s)) {
-            let code = self.order.len() as u32;
-            self.order.push(s.to_string());
-            self.sorted.insert(at, (s.to_string(), code));
-        }
-    }
-}
-
 fn open_input(path: &Path) -> Result<BufReader<std::fs::File>, DataError> {
     Ok(BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Parses and validates the header line, returning the column names
-/// and the CRC of the raw header bytes (the journal's input
-/// fingerprint).
-fn read_header(
-    lines: &mut std::io::Lines<BufReader<std::fs::File>>,
-) -> Result<(Vec<String>, u64), DataError> {
-    let header = lines.next().ok_or(DataError::EmptyCsv)??;
-    let header_crc = crc64(header.as_bytes());
-    let names = parse_record(&header, 1)?;
-    for (j, name) in names.iter().enumerate() {
-        if name.is_empty() {
-            return Err(DataError::BlankColumnName { column: j });
-        }
-        if names[..j].contains(name) {
-            return Err(DataError::DuplicateColumn { name: name.clone() });
-        }
-    }
-    Ok((names, header_crc))
 }
 
 struct Inferred {
@@ -408,13 +354,10 @@ struct Inferred {
 fn infer_schema(input: &Path, cfg: &IngestConfig) -> Result<Inferred, DataError> {
     let input_len = std::fs::metadata(input)?.len();
     let mut lines = open_input(input)?.lines();
-    let (names, header_crc) = read_header(&mut lines)?;
+    let (header, names) = read_header(&mut lines, cfg.label.as_deref())?;
+    // The raw header bytes fingerprint the input in the journal.
+    let header_crc = crc64(header.as_bytes());
     let n = names.len();
-    if let Some(l) = &cfg.label {
-        if !names.iter().any(|name| name == l) {
-            return Err(DataError::UnknownLabel { name: l.clone() });
-        }
-    }
     let strict = matches!(cfg.policy, RowErrorPolicy::Strict);
 
     // Pass 1a: column types. A column is numerical iff at least one
@@ -469,7 +412,7 @@ fn infer_schema(input: &Path, cfg: &IngestConfig) -> Result<Inferred, DataError>
     // never pays dictionary memory).
     let mut dicts: Vec<Vec<String>> = vec![Vec::new(); n];
     if saw_rows && attrs.iter().any(|a| a.ty == AttrType::Categorical) {
-        let mut interners: Vec<Dict> = (0..n).map(|_| Dict::from_order(Vec::new())).collect();
+        let mut interners: Vec<Dict> = (0..n).map(|_| Dict::default()).collect();
         let mut lines = open_input(input)?.lines();
         lines.next().transpose()?; // header
         for (i, line) in lines.enumerate() {
@@ -491,7 +434,7 @@ fn infer_schema(input: &Path, cfg: &IngestConfig) -> Result<Inferred, DataError>
                 }
             }
         }
-        dicts = interners.into_iter().map(|d| d.order).collect();
+        dicts = interners.into_iter().map(Dict::into_order).collect();
     }
 
     let label_idx = cfg
@@ -547,7 +490,7 @@ fn fresh_builders(schema: &Schema, dicts: &[Dict]) -> Vec<Column> {
             AttrType::Numerical => Column::Num(Vec::new()),
             AttrType::Categorical => Column::Cat {
                 codes: Vec::new(),
-                categories: d.order.clone(),
+                categories: d.order().to_vec(),
             },
         })
         .collect()
@@ -771,7 +714,7 @@ fn run_pass2(
     // Rejections after the last seal still need to reach the ledger.
     state.flush_quarantine()?;
 
-    let dict_orders: Vec<Vec<String>> = state.dicts.iter().map(|d| d.order.clone()).collect();
+    let dict_orders: Vec<Vec<String>> = state.dicts.iter().map(|d| d.order().to_vec()).collect();
     let manifest = encode_manifest(
         &state.schema,
         &dict_orders,
@@ -1109,6 +1052,30 @@ mod tests {
         assert_eq!(table, reference);
         // The quoted category with a comma survived intact.
         assert!(store.dicts()[1].iter().any(|c| c == "sales, retail"));
+
+        // A high-cardinality column: 2,500 distinct ids in scrambled
+        // order, each but the quoted one seen again 2,500 rows later,
+        // and a quoted id with a comma that repeats.
+        let mut body = String::from("id,income\n");
+        for i in 0..6000 {
+            let label = if i % 3 == 0 { "hi" } else { "lo" };
+            if i % 1000 == 999 {
+                body.push_str(&format!("\"id, quoted\",{label}\n"));
+            } else {
+                body.push_str(&format!("u{},{label}\n", (i * 7919) % 2500));
+            }
+        }
+        let input = write_input(&dir, &body);
+        let store_dir = dir.join("store-ids");
+        let report = ingest_csv(&input, &store_dir, &demo_cfg(512)).unwrap();
+        assert_eq!(report.rows, 6000);
+        let store = ChunkStore::open(&store_dir).unwrap();
+        let reference = crate::csv::read_csv(open_input(&input).unwrap(), Some("income")).unwrap();
+        assert_eq!(store.to_table().unwrap(), reference);
+        let ids = &store.dicts()[0];
+        assert_eq!(ids.len(), 2501);
+        assert_eq!(&ids[..3], &["u0", "u419", "u838"]);
+        assert_eq!(ids.iter().position(|c| c == "id, quoted"), Some(999));
         std::fs::remove_dir_all(&dir).ok();
     }
 

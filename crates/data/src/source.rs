@@ -3,12 +3,12 @@
 //!
 //! [`ChunkSource`] is the seam that makes out-of-core training
 //! bit-identical to in-memory training: the streaming codec fits
-//! ([`crate::RecordCodec::fit_chunks`]) and the chunk-granular batcher
-//! in `daisy-core` consume chunks in a fixed visitation order through
-//! this trait, so the arithmetic (and therefore every downstream batch
-//! and gradient) is the same whether the chunks come from a resident
-//! [`Table`] or a sealed [`ChunkStore`]
-//! directory.
+//! ([`crate::RecordCodec::fit_chunks`]) and `daisy-core`'s
+//! chunk-backed `TrainingData::from_chunks` consume chunks in a fixed
+//! visitation order through this trait, so the arithmetic (and
+//! therefore every downstream batch and gradient) is the same whether
+//! the chunks come from a resident [`Table`] or a sealed
+//! [`ChunkStore`] directory.
 
 use crate::error::DataError;
 use crate::schema::Schema;

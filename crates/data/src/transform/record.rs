@@ -58,8 +58,13 @@ impl RecordCodec {
     /// GMM normalization uses [`crate::Gmm1d::fit_streaming`], whose
     /// result is deterministic and chunking-invariant (identical for
     /// an in-memory [`crate::TableChunks`] and an on-disk store over
-    /// the same rows) but intentionally differs from the in-memory
-    /// sorted-quantile initialization of [`RecordCodec::fit`].
+    /// the same rows). It runs the same EM routine as the in-memory
+    /// fit of [`RecordCodec::fit`] but starts from histogram
+    /// quantiles rather than sorted ones, so GMM codecs from the two
+    /// fits differ; simple and categorical codecs are identical.
+    ///
+    /// The codec this returns is what `daisy-core`'s
+    /// `TrainingData::from_chunks` encodes chunk-backed batches with.
     pub fn fit_chunks(
         source: &dyn crate::source::ChunkSource,
         config: &TransformConfig,

@@ -385,7 +385,7 @@ fn check_d004_rng_construction(file: &SourceFile, lexed: &Lexed, out: &mut Vec<F
 
 // ----- S001 / S003: event emission call sites -----
 
-/// Finds `emit(...)`, `span_start(...)`, and `Event::new(...)` calls;
+/// Finds `emit(...)` and `Event::new(...)` calls;
 /// checks the event-name argument against the vocabulary (S001) and
 /// field-name literals against the wall-clock blocklist (S003). Both
 /// rules skip the file's test region.
@@ -411,9 +411,8 @@ fn check_s001_s003_event_calls(
         if toks[i].line >= test_cut {
             break;
         }
-        let is_emit_like = (toks[i].is_ident("emit") || toks[i].is_ident("span_start"))
-            && i + 1 < toks.len()
-            && toks[i + 1].is_punct('(');
+        let is_emit_like =
+            toks[i].is_ident("emit") && i + 1 < toks.len() && toks[i + 1].is_punct('(');
         let is_event_new = toks[i].is_ident("Event")
             && i + 4 < toks.len()
             && toks[i + 1].is_punct(':')

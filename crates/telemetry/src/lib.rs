@@ -64,7 +64,7 @@ pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
 pub use report::RunReport;
 pub use sink::JsonlSink;
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -82,9 +82,6 @@ static LOCALS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Innermost-wins stack of scoped recorders for this thread.
     static STACK: RefCell<Vec<Arc<dyn Recorder>>> = const { RefCell::new(Vec::new()) };
-    /// Events emitted from this thread, ever; spans diff it for their
-    /// logical duration.
-    static EMITTED: Cell<u64> = const { Cell::new(0) };
 }
 
 fn global() -> Option<&'static Arc<JsonlSink>> {
@@ -164,51 +161,7 @@ pub fn emit_event(event: Event) {
         (None, Some(sink)) => sink.as_ref(),
         (None, None) => return,
     };
-    EMITTED.with(|c| c.set(c.get() + 1));
     recorder.record(event);
-}
-
-/// An open span, created by [`span_start`]. Call [`Span::end`] to emit
-/// the matching close event; dropping without `end` emits nothing.
-pub struct Span {
-    name: &'static str,
-    start_events: u64,
-    start: Instant,
-}
-
-/// Opens a span: emits a [`schema::SPAN_START`] event carrying `fields`
-/// and returns a handle whose [`Span::end`] emits
-/// [`schema::SPAN_END`] with the span's *logical* duration — the number
-/// of events this thread emitted while the span was open — plus the
-/// wall-clock milliseconds in the strippable `wall` sub-object.
-pub fn span_start(name: &'static str, mut fields: Fields) -> Span {
-    if enabled() {
-        fields.insert(0, field("span", name));
-        emit_event(Event::new(schema::SPAN_START, fields));
-    }
-    Span {
-        name,
-        start_events: EMITTED.with(|c| c.get()),
-        start: Instant::now(),
-    }
-}
-
-impl Span {
-    /// Closes the span (see [`span_start`]).
-    pub fn end(self) {
-        if !enabled() {
-            return;
-        }
-        let events = EMITTED.with(|c| c.get()).saturating_sub(self.start_events);
-        let ms = self.start.elapsed().as_secs_f64() * 1000.0;
-        emit_event(
-            Event::new(
-                schema::SPAN_END,
-                vec![field("span", self.name), field("events", events)],
-            )
-            .with_wall(vec![field("ms", ms)]),
-        );
-    }
 }
 
 /// A wall-clock stopwatch for instrumented call sites *outside* this
@@ -348,25 +301,6 @@ mod tests {
         let rec2 = Arc::new(MemoryRecorder::new());
         with_recorder(rec2.clone(), || emit("after", vec![]));
         assert_eq!(rec2.count("after"), 1);
-    }
-
-    #[test]
-    fn spans_measure_logical_duration() {
-        let rec = Arc::new(MemoryRecorder::new());
-        with_recorder(rec.clone(), || {
-            let span = span_start("train", vec![field("epochs", 2usize)]);
-            emit("epoch", vec![field("epoch", 0usize)]);
-            emit("epoch", vec![field("epoch", 1usize)]);
-            span.end();
-        });
-        let events = rec.events();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0].name, schema::SPAN_START);
-        assert_eq!(events[3].name, schema::SPAN_END);
-        assert_eq!(events[3].get("events"), Some(&Value::U64(2)));
-        // Wall-clock lives only in the wall sub-object.
-        assert!(events[3].get("ms").is_none());
-        assert!(!events[3].wall.is_empty());
     }
 
     #[test]

@@ -118,13 +118,6 @@ pub const SERVE_DRAIN: &str = "serve_drain";
 /// fingerprint after the attempt), `error` (`-` on success).
 pub const SERVE_RELOAD: &str = "serve_reload";
 
-/// A span opened. Fields: `span`, plus caller fields.
-pub const SPAN_START: &str = "span_start";
-/// A span closed. Fields: `span`, `events` (logical duration: number
-/// of events recorded on this thread while the span was open); wall
-/// fields: `ms`.
-pub const SPAN_END: &str = "span_end";
-
 /// Metrics-registry snapshot (whole event is non-deterministic).
 /// Fields: one per registered metric, see
 /// [`crate::metrics::snapshot_fields`].

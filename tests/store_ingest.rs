@@ -233,11 +233,11 @@ fn copy_store(from: &Path, to: &Path) {
 
 /// A manifest's row counts are trusted nowhere: with any one of them
 /// re-sealed to a lie, opening the store, materializing it and sampling
-/// through `ChunkedTrainingData` each end in a typed error or in the
+/// through `TrainingData::from_chunks` each end in a typed error or in the
 /// correct rows — never a panic, never an allocation sized by the lie.
 #[test]
 fn resealed_manifest_row_counts_end_in_typed_errors_or_correct_rows() {
-    use daisy::core::{BatchSource, ChunkedTrainingData};
+    use daisy::core::{BatchSource, TrainingData};
     use daisy::tensor::Rng;
 
     let base = scratch("reseal");
@@ -251,7 +251,7 @@ fn resealed_manifest_row_counts_end_in_typed_errors_or_correct_rows() {
         let codec = RecordCodec::fit_chunks(&store, &TransformConfig::sn_ht()).unwrap();
         let sample = |dir: &Path| -> Result<Vec<f32>, DataError> {
             let store = ChunkStore::open(dir)?;
-            let data = ChunkedTrainingData::new(&store, &codec)?;
+            let data = TrainingData::from_chunks(&store, &codec)?;
             let batch = data.sample_random(32, true, &mut Rng::seed_from_u64(7))?;
             Ok(batch.samples.data().to_vec())
         };

@@ -206,8 +206,7 @@ fn synthesizer_output_is_identical_for_1_and_n_threads() {
 fn chunk_store_training_is_bit_identical_to_resident_across_threads() {
     use daisy::core::output_head::softmax_spans;
     use daisy::core::{
-        train_gan, BatchSource, ChunkedTrainingData, MlpDiscriminator, MlpGenerator, TrainConfig,
-        TrainingData,
+        train_gan, BatchSource, MlpDiscriminator, MlpGenerator, TrainConfig, TrainingData,
     };
     use daisy::data::{ingest_csv, ChunkStore, IngestConfig, RecordCodec, TransformConfig};
 
@@ -229,7 +228,7 @@ fn chunk_store_training_is_bit_identical_to_resident_across_threads() {
     ingest_csv(&csv, &store_dir, &ingest_cfg).unwrap();
     let store = ChunkStore::open(&store_dir).unwrap();
     let codec = RecordCodec::fit_chunks(&store, &TransformConfig::sn_ht()).unwrap();
-    let streamed = ChunkedTrainingData::new(&store, &codec).unwrap();
+    let streamed = TrainingData::from_chunks(&store, &codec).unwrap();
     // The resident reference samples from the store's own row order so
     // the two sources draw identical rows for identical rng streams.
     let resident_table = store.to_table().unwrap();
