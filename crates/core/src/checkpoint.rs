@@ -4,12 +4,15 @@
 //! configuration-cells, §7) can be killed at any moment — an OOM kill,
 //! a preempted spot instance, a plain Ctrl-C. This module makes that
 //! survivable without giving up the repo's determinism contract: a
-//! [`TrainCheckpoint`] captures the *complete* training state at a
-//! clean epoch boundary — model weights, optimizer moments, the main
-//! RNG stream and every dropout stream, the guard's loss envelope, the
-//! fault-plan arming state, loss history, and the epoch-snapshot ring —
-//! so a resumed run replays the remaining steps bit-identically to a
-//! run that was never interrupted.
+//! checkpoint holds the configuration fingerprint, the trainer's
+//! `TrainState` at a clean epoch boundary — model weights and module
+//! state, optimizer moments, the main RNG stream and every dropout
+//! stream, the guard's loss envelope, the fault-plan arming state and
+//! the recovery state — and the run's loss history and epoch-snapshot
+//! ring, so a resumed run replays the remaining steps bit-identically
+//! to a run that was never interrupted. The same `TrainState` is what a
+//! guard rollback rewinds to, so resume and rollback cannot disagree on
+//! what the boundary was.
 //!
 //! Durability comes from a last-good rotation in front of the classic
 //! write-to-temp → fsync → atomic rename discipline
@@ -28,10 +31,11 @@
 
 use crate::config::{LossKind, SynthesizerConfig};
 use crate::guard::{RecoveryAction, RecoveryEvent, TrainOutcome, TripReason};
-use crate::train::EpochStats;
+use crate::train::{EpochStats, Kept, Rewound, TrainState, TrainingRun};
 use daisy_telemetry::{field, schema};
-use daisy_tensor::{RngState, Tensor};
+use daisy_tensor::RngState;
 use daisy_wire::{crc64, sibling, ArmedIo, IoFault, IoFaultPlan, Reader, WireError, Writer};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -160,42 +164,16 @@ impl CheckpointPlan {
 // the checkpoint payload
 // ---------------------------------------------------------------------
 
-/// The complete training state at a clean epoch boundary. Restoring
-/// every field listed here — and nothing less — is what makes resume
-/// bit-exact: weights and optimizer moments alone would replay a
-/// *different* (if plausible) trajectory because the noise stream,
-/// dropout masks, guard envelope and fault arming would restart.
-pub struct TrainCheckpoint {
+/// A durable checkpoint: the configuration fingerprint, the training
+/// state captured at a clean epoch boundary, and the run's history and
+/// snapshot ring. A save borrows the live state and run; a load owns
+/// what it parsed.
+pub(crate) struct TrainCheckpoint<'a> {
     pub(crate) fingerprint: u64,
-    /// Next step to execute (the boundary's `t + 1`).
-    pub(crate) t: usize,
-    pub(crate) epochs_done: usize,
-    /// Loss family the optimizer moments belong to (tracks the WTrain
-    /// escalation).
-    pub(crate) loss: LossKind,
-    pub(crate) d_steps: usize,
-    pub(crate) lr_scale: f32,
-    pub(crate) plain_rollbacks: usize,
-    /// Guard loss envelope `(ema_d, ema_g, steps_seen)`.
-    pub(crate) ema: (f32, f32, usize),
-    /// Main training RNG stream position.
-    pub(crate) rng: RngState,
-    /// Fault-plan arming flags ([`crate::fault::FaultPlan`]).
-    pub(crate) fired: Vec<bool>,
-    pub(crate) outcome: TrainOutcome,
-    pub(crate) g_params: Vec<Tensor>,
-    /// Generator non-parameter state (batch-norm running statistics).
-    pub(crate) g_state: Vec<Tensor>,
-    pub(crate) d_params: Vec<Tensor>,
-    pub(crate) d_state: Vec<Tensor>,
-    /// Discriminator-internal RNG streams (dropout mask generators).
-    pub(crate) d_rng: Vec<RngState>,
-    pub(crate) opt_g: Vec<Tensor>,
-    pub(crate) opt_d: Vec<Tensor>,
-    pub(crate) history: Vec<EpochStats>,
-    /// Per-epoch generator snapshots accumulated so far (model
+    pub(crate) state: Cow<'a, TrainState>,
+    /// Loss history and the per-epoch generator snapshots so far (model
     /// selection needs all of them, not just the latest weights).
-    pub(crate) snapshots: Vec<Vec<Tensor>>,
+    pub(crate) run: Cow<'a, TrainingRun>,
 }
 
 fn write_rng(w: &mut Writer, s: &RngState) {
@@ -315,61 +293,62 @@ fn read_outcome(r: &mut Reader) -> Result<TrainOutcome, WireError> {
     })
 }
 
-impl TrainCheckpoint {
+impl TrainCheckpoint<'_> {
     /// Serializes the checkpoint: magic, then four CRC-framed sections
     /// (meta, model, optimizer, history).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        let (s, k, run) = (&self.state.rewound, &self.state.kept, &*self.run);
         let mut w = Writer::default();
         w.buf.extend_from_slice(MAGIC);
 
         let mut meta = Writer::default();
         meta.u64(self.fingerprint);
-        meta.usize(self.t);
-        meta.usize(self.epochs_done);
-        meta.u8(match self.loss {
+        meta.usize(s.t);
+        meta.usize(s.epochs_done);
+        meta.u8(match k.loss {
             LossKind::Vanilla => 0,
             LossKind::Wasserstein => 1,
         });
-        meta.usize(self.d_steps);
-        meta.f32(self.lr_scale);
-        meta.usize(self.plain_rollbacks);
-        meta.f32(self.ema.0);
-        meta.f32(self.ema.1);
-        meta.usize(self.ema.2);
-        write_rng(&mut meta, &self.rng);
-        meta.usize(self.fired.len());
-        for &b in &self.fired {
+        meta.usize(k.d_steps);
+        meta.f32(k.lr_scale);
+        meta.usize(k.plain_rollbacks);
+        meta.f32(s.ema.0);
+        meta.f32(s.ema.1);
+        meta.usize(s.ema.2);
+        write_rng(&mut meta, &k.rng);
+        meta.usize(k.fired.len());
+        for &b in &k.fired {
             meta.bool(b);
         }
-        write_outcome(&mut meta, &self.outcome);
+        write_outcome(&mut meta, &k.outcome);
         w.section(&meta);
 
         let mut model = Writer::default();
-        model.tensors(&self.g_params);
-        model.tensors(&self.g_state);
-        model.tensors(&self.d_params);
-        model.tensors(&self.d_state);
-        model.usize(self.d_rng.len());
-        for s in &self.d_rng {
-            write_rng(&mut model, s);
+        model.tensors(&s.g_params);
+        model.tensors(&s.g_state);
+        model.tensors(&s.d_params);
+        model.tensors(&s.d_state);
+        model.usize(s.d_rng.len());
+        for r in &s.d_rng {
+            write_rng(&mut model, r);
         }
         w.section(&model);
 
         let mut opt = Writer::default();
-        opt.tensors(&self.opt_g);
-        opt.tensors(&self.opt_d);
+        opt.tensors(&s.opt_g);
+        opt.tensors(&s.opt_d);
         w.section(&opt);
 
         let mut hist = Writer::default();
-        hist.usize(self.history.len());
-        for e in &self.history {
+        hist.usize(run.history.len());
+        for e in &run.history {
             hist.usize(e.epoch);
             hist.f32(e.d_loss);
             hist.f32(e.g_loss);
             hist.f32(e.kl);
         }
-        hist.usize(self.snapshots.len());
-        for snap in &self.snapshots {
+        hist.usize(run.snapshots.len());
+        for snap in &run.snapshots {
             hist.tensors(snap);
         }
         w.section(&hist);
@@ -381,96 +360,85 @@ impl TrainCheckpoint {
     /// foreign file, truncation, any single corrupted byte — yields
     /// [`CheckpointError::Corrupt`]; this function never panics on
     /// arbitrary input.
-    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-        let bad = CheckpointError::Corrupt;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(bad("not a daisy checkpoint file (bad magic)".to_string()));
-        }
-        let mut r = Reader::new(&bytes[MAGIC.len()..]);
-
-        let mut meta = r.section().map_err(bad)?;
-        let fingerprint = meta.u64().map_err(bad)?;
-        let t = meta.usize().map_err(bad)?;
-        let epochs_done = meta.usize().map_err(bad)?;
-        let loss = match meta.u8().map_err(bad)? {
-            0 => LossKind::Vanilla,
-            1 => LossKind::Wasserstein,
-            other => return Err(bad(format!("unknown loss tag {other}"))),
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<TrainCheckpoint<'static>, CheckpointError> {
+        let Some(body) = bytes.strip_prefix(&MAGIC[..]) else {
+            let msg = "not a daisy checkpoint file (bad magic)";
+            return Err(CheckpointError::Corrupt(msg.to_string()));
         };
-        let d_steps = meta.usize().map_err(bad)?;
-        let lr_scale = meta.f32().map_err(bad)?;
-        let plain_rollbacks = meta.usize().map_err(bad)?;
-        let ema = (
-            meta.f32().map_err(bad)?,
-            meta.f32().map_err(bad)?,
-            meta.usize().map_err(bad)?,
-        );
-        let rng = read_rng(&mut meta).map_err(bad)?;
-        let n_fired = meta.len().map_err(bad)?;
-        let mut fired = Vec::with_capacity(n_fired);
-        for _ in 0..n_fired {
-            fired.push(meta.bool().map_err(bad)?);
-        }
-        let outcome = read_outcome(&mut meta).map_err(bad)?;
-
-        let mut model = r.section().map_err(bad)?;
-        let g_params = model.tensors().map_err(bad)?;
-        let g_state = model.tensors().map_err(bad)?;
-        let d_params = model.tensors().map_err(bad)?;
-        let d_state = model.tensors().map_err(bad)?;
-        let n_rng = model.len().map_err(bad)?;
-        let mut d_rng = Vec::with_capacity(n_rng);
-        for _ in 0..n_rng {
-            d_rng.push(read_rng(&mut model).map_err(bad)?);
-        }
-
-        let mut opt = r.section().map_err(bad)?;
-        let opt_g = opt.tensors().map_err(bad)?;
-        let opt_d = opt.tensors().map_err(bad)?;
-
-        let mut hist = r.section().map_err(bad)?;
-        let n_hist = hist.len().map_err(bad)?;
-        let mut history = Vec::with_capacity(n_hist);
-        for _ in 0..n_hist {
-            history.push(EpochStats {
-                epoch: hist.usize().map_err(bad)?,
-                d_loss: hist.f32().map_err(bad)?,
-                g_loss: hist.f32().map_err(bad)?,
-                kl: hist.f32().map_err(bad)?,
-            });
-        }
-        let n_snap = hist.len().map_err(bad)?;
-        let mut snapshots = Vec::with_capacity(n_snap);
-        for _ in 0..n_snap {
-            snapshots.push(hist.tensors().map_err(bad)?);
-        }
-
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after final section".to_string()));
-        }
-        Ok(TrainCheckpoint {
-            fingerprint,
-            t,
-            epochs_done,
-            loss,
-            d_steps,
-            lr_scale,
-            plain_rollbacks,
-            ema,
-            rng,
-            fired,
-            outcome,
-            g_params,
-            g_state,
-            d_params,
-            d_state,
-            d_rng,
-            opt_g,
-            opt_d,
-            history,
-            snapshots,
-        })
+        read_sections(&mut Reader::new(body)).map_err(CheckpointError::Corrupt)
     }
+}
+
+fn read_sections(r: &mut Reader) -> Result<TrainCheckpoint<'static>, WireError> {
+    let mut meta = r.section()?;
+    let (fingerprint, t, epochs_done) = (meta.u64()?, meta.usize()?, meta.usize()?);
+    let loss = match meta.u8()? {
+        0 => LossKind::Vanilla,
+        1 => LossKind::Wasserstein,
+        other => return Err(format!("unknown loss tag {other}")),
+    };
+    let (d_steps, lr_scale, plain_rollbacks) = (meta.usize()?, meta.f32()?, meta.usize()?);
+    let ema = (meta.f32()?, meta.f32()?, meta.usize()?);
+    let rng = read_rng(&mut meta)?;
+    let n_fired = meta.len()?;
+    let kept = Kept {
+        rng,
+        fired: (0..n_fired)
+            .map(|_| meta.bool())
+            .collect::<Result<_, _>>()?,
+        outcome: read_outcome(&mut meta)?,
+        lr_scale,
+        plain_rollbacks,
+        loss,
+        d_steps,
+    };
+
+    let mut model = r.section()?;
+    let (g_params, g_state) = (model.tensors()?, model.tensors()?);
+    let (d_params, d_state) = (model.tensors()?, model.tensors()?);
+    let n_rng = model.len()?;
+    let d_rng = (0..n_rng)
+        .map(|_| read_rng(&mut model))
+        .collect::<Result<_, _>>()?;
+    let mut opt = r.section()?;
+    let rewound = Rewound {
+        g_params,
+        g_state,
+        d_params,
+        d_state,
+        d_rng,
+        opt_g: opt.tensors()?,
+        opt_d: opt.tensors()?,
+        ema,
+        t,
+        epochs_done,
+    };
+
+    let mut hist = r.section()?;
+    let n_hist = hist.len()?;
+    let mut epoch = || -> Result<EpochStats, WireError> {
+        let epoch = hist.usize()?;
+        let (d_loss, g_loss, kl) = (hist.f32()?, hist.f32()?, hist.f32()?);
+        Ok(EpochStats {
+            epoch,
+            d_loss,
+            g_loss,
+            kl,
+        })
+    };
+    let history = (0..n_hist).map(|_| epoch()).collect::<Result<_, _>>()?;
+    let n_snap = hist.len()?;
+    let snapshots = (0..n_snap)
+        .map(|_| hist.tensors())
+        .collect::<Result<_, _>>()?;
+    if !r.is_empty() {
+        return Err("trailing bytes after final section".to_string());
+    }
+    Ok(TrainCheckpoint {
+        fingerprint,
+        state: Cow::Owned(TrainState { rewound, kept }),
+        run: Cow::Owned(TrainingRun { snapshots, history }),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -505,26 +473,45 @@ impl CheckpointStore {
     }
 
     /// Writes `ckpt` durably: rotate the current file to `.prev`, then
-    /// replace the primary atomically. Returns the payload size. On any
-    /// failure the last good checkpoint remains loadable, as the primary
-    /// or as `.prev`.
+    /// replace the primary atomically. Returns the payload size and emits
+    /// `checkpoint_write`. On any failure the last good checkpoint
+    /// remains loadable, as the primary or as `.prev`; the failure is
+    /// counted (`checkpoint.save_failures`), not emitted, so the
+    /// deterministic trace stays comparable to a run whose saves all
+    /// succeeded.
     pub(crate) fn save(&mut self, ckpt: &TrainCheckpoint) -> Result<usize, CheckpointError> {
         let bytes = ckpt.to_bytes();
-        let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
         // Last-good rotation: the current checkpoint survives as
         // `.prev` until the *next* save rotates it out, so a bit-rotted
         // primary always has a verified predecessor to fall back to.
-        if self.path.exists() {
-            std::fs::rename(&self.path, sibling(&self.path, "prev")).map_err(io)?;
+        let rotated = if self.path.exists() {
+            std::fs::rename(&self.path, sibling(&self.path, "prev"))
+        } else {
+            Ok(())
+        };
+        if let Err(e) = rotated.and_then(|()| self.io.atomic_write(&self.path, &bytes)) {
+            daisy_telemetry::metrics::counter("checkpoint.save_failures").add(1);
+            return Err(CheckpointError::Io(e.to_string()));
         }
-        self.io.atomic_write(&self.path, &bytes).map_err(io)?;
+        if daisy_telemetry::enabled() {
+            // The boundary closes epoch `epochs_done - 1` at step `t - 1`.
+            let s = &ckpt.state.rewound;
+            daisy_telemetry::emit(
+                schema::CHECKPOINT_WRITE,
+                vec![
+                    field("epoch", s.epochs_done.saturating_sub(1)),
+                    field("step", s.t.saturating_sub(1)),
+                    field("bytes", bytes.len()),
+                ],
+            );
+        }
         Ok(bytes.len())
     }
 
     /// Loads the freshest valid checkpoint with the expected
     /// fingerprint: the primary file first, then `.prev`. A candidate
-    /// that is corrupt, or whose tensors do not `fit` the live
-    /// architecture, is quarantined (renamed `.corrupt-N`) and reported
+    /// that is corrupt, or that does not `fit` the live run (tensor
+    /// shapes, counters), is quarantined (renamed `.corrupt-N`) and reported
     /// via one `checkpoint_corrupt_skipped` event; a valid checkpoint
     /// with a foreign fingerprint (stale sweep, different cell) is
     /// ignored silently. Returns `None` when nothing usable exists — the
@@ -533,7 +520,7 @@ impl CheckpointStore {
         &self,
         fingerprint: u64,
         fits: impl Fn(&TrainCheckpoint) -> Result<(), String>,
-    ) -> Option<TrainCheckpoint> {
+    ) -> Option<TrainCheckpoint<'static>> {
         let candidates = [
             ("primary", self.path.clone()),
             ("previous", sibling(&self.path, "prev")),
@@ -570,21 +557,25 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_tensor::Rng;
+    use daisy_tensor::{Rng, Tensor};
     use std::path::Path;
 
-    fn dummy(fingerprint: u64, t: usize) -> TrainCheckpoint {
+    fn dummy(fingerprint: u64, t: usize) -> TrainCheckpoint<'static> {
         let mut rng = Rng::seed_from_u64(t as u64);
         let _ = rng.normal(); // populate the Box–Muller spare
-        TrainCheckpoint {
-            fingerprint,
+        let rewound = Rewound {
+            g_params: vec![Tensor::from_slice(&[1.0, 2.0, 3.0])],
+            g_state: vec![Tensor::from_slice(&[0.0, 1.0])],
+            d_params: vec![Tensor::from_slice(&[-1.0])],
+            d_state: Vec::new(),
+            d_rng: vec![Rng::seed_from_u64(9).state()],
+            opt_g: vec![Tensor::from_slice(&[0.5])],
+            opt_d: vec![Tensor::from_slice(&[0.1, 0.2])],
+            ema: (0.25, -1.5, 7),
             t,
             epochs_done: 1,
-            loss: LossKind::Wasserstein,
-            d_steps: 3,
-            lr_scale: 0.5,
-            plain_rollbacks: 2,
-            ema: (0.25, -1.5, 7),
+        };
+        let kept = Kept {
             rng: rng.state(),
             fired: vec![true, false, true],
             outcome: TrainOutcome {
@@ -599,47 +590,52 @@ mod tests {
                 escalated_wtrain: true,
                 escalated_simplified_d: false,
             },
-            g_params: vec![Tensor::from_slice(&[1.0, 2.0, 3.0])],
-            g_state: vec![Tensor::from_slice(&[0.0, 1.0])],
-            d_params: vec![Tensor::from_slice(&[-1.0])],
-            d_state: Vec::new(),
-            d_rng: vec![Rng::seed_from_u64(9).state()],
-            opt_g: vec![Tensor::from_slice(&[0.5])],
-            opt_d: vec![Tensor::from_slice(&[0.1, 0.2])],
-            history: vec![EpochStats {
-                epoch: 0,
-                d_loss: 0.3,
-                g_loss: 0.6,
-                kl: 0.05,
-            }],
-            snapshots: vec![vec![Tensor::from_slice(&[1.0, 2.0, 3.0])]],
+            lr_scale: 0.5,
+            plain_rollbacks: 2,
+            loss: LossKind::Wasserstein,
+            d_steps: 3,
+        };
+        TrainCheckpoint {
+            fingerprint,
+            state: Cow::Owned(TrainState { rewound, kept }),
+            run: Cow::Owned(TrainingRun {
+                history: vec![EpochStats {
+                    epoch: 0,
+                    d_loss: 0.3,
+                    g_loss: 0.6,
+                    kl: 0.05,
+                }],
+                snapshots: vec![vec![Tensor::from_slice(&[1.0, 2.0, 3.0])]],
+            }),
         }
     }
 
     fn assert_same(a: &TrainCheckpoint, b: &TrainCheckpoint) {
+        let (ra, rb) = (&a.state.rewound, &b.state.rewound);
+        let (ka, kb) = (&a.state.kept, &b.state.kept);
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.t, b.t);
-        assert_eq!(a.epochs_done, b.epochs_done);
-        assert_eq!(a.loss, b.loss);
-        assert_eq!(a.d_steps, b.d_steps);
-        assert_eq!(a.lr_scale, b.lr_scale);
-        assert_eq!(a.plain_rollbacks, b.plain_rollbacks);
-        assert_eq!(a.ema, b.ema);
-        assert_eq!(a.rng, b.rng);
-        assert_eq!(a.fired, b.fired);
-        assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.g_params, b.g_params);
-        assert_eq!(a.g_state, b.g_state);
-        assert_eq!(a.d_params, b.d_params);
-        assert_eq!(a.d_state, b.d_state);
-        assert_eq!(a.d_rng, b.d_rng);
-        assert_eq!(a.opt_g, b.opt_g);
-        assert_eq!(a.opt_d, b.opt_d);
-        assert_eq!(a.history.len(), b.history.len());
-        for (x, y) in a.history.iter().zip(&b.history) {
+        assert_eq!(ra.t, rb.t);
+        assert_eq!(ra.epochs_done, rb.epochs_done);
+        assert_eq!(ka.loss, kb.loss);
+        assert_eq!(ka.d_steps, kb.d_steps);
+        assert_eq!(ka.lr_scale, kb.lr_scale);
+        assert_eq!(ka.plain_rollbacks, kb.plain_rollbacks);
+        assert_eq!(ra.ema, rb.ema);
+        assert_eq!(ka.rng, kb.rng);
+        assert_eq!(ka.fired, kb.fired);
+        assert_eq!(ka.outcome, kb.outcome);
+        assert_eq!(ra.g_params, rb.g_params);
+        assert_eq!(ra.g_state, rb.g_state);
+        assert_eq!(ra.d_params, rb.d_params);
+        assert_eq!(ra.d_state, rb.d_state);
+        assert_eq!(ra.d_rng, rb.d_rng);
+        assert_eq!(ra.opt_g, rb.opt_g);
+        assert_eq!(ra.opt_d, rb.opt_d);
+        assert_eq!(a.run.history.len(), b.run.history.len());
+        for (x, y) in a.run.history.iter().zip(&b.run.history) {
             assert_eq!((x.epoch, x.d_loss, x.g_loss, x.kl), (y.epoch, y.d_loss, y.g_loss, y.kl));
         }
-        assert_eq!(a.snapshots, b.snapshots);
+        assert_eq!(a.run.snapshots, b.run.snapshots);
     }
 
     #[test]
@@ -690,7 +686,7 @@ mod tests {
         store.save(&dummy(42, 6)).unwrap();
         assert!(sibling(&path, "prev").exists());
         let latest = store.load_latest(42, |_| Ok(())).expect("latest");
-        assert_eq!(latest.t, 6);
+        assert_eq!(latest.state.rewound.t, 6);
         cleanup(&path);
     }
 
@@ -708,7 +704,7 @@ mod tests {
         let recovered = store
             .load_latest(42, |_| Ok(()))
             .expect("fallback to .prev");
-        assert_eq!(recovered.t, 3, "must resume from the last-good file");
+        assert_eq!(recovered.state.rewound.t, 3, "must resume from the last-good file");
         assert!(!path.exists(), "corrupt primary must be moved aside");
         assert!(sibling(&path, "corrupt-0").exists());
         cleanup(&path);
@@ -724,14 +720,14 @@ mod tests {
         store.save(&dummy(42, 3)).unwrap();
         store.save(&dummy(42, 6)).unwrap();
         let fits = |c: &TrainCheckpoint| {
-            if c.t == 6 {
+            if c.state.rewound.t == 6 {
                 Err("generator parameter shape mismatch".to_string())
             } else {
                 Ok(())
             }
         };
         let recovered = store.load_latest(42, fits).expect("fallback to .prev");
-        assert_eq!(recovered.t, 3);
+        assert_eq!(recovered.state.rewound.t, 3);
         assert!(!path.exists(), "the misfit primary must be moved aside");
         assert!(sibling(&path, "corrupt-0").exists());
         cleanup(&path);
@@ -763,10 +759,10 @@ mod tests {
             let survivor = store
                 .load_latest(5, |_| Ok(()))
                 .expect("last-good checkpoint");
-            assert_eq!(survivor.t, 3, "{plan:?} must leave the old checkpoint");
+            assert_eq!(survivor.state.rewound.t, 3, "{plan:?} must leave the old checkpoint");
             // The fault fired once: the same save index stays quiet now.
             store.save(&dummy(5, 9)).unwrap();
-            assert_eq!(store.load_latest(5, |_| Ok(())).unwrap().t, 9);
+            assert_eq!(store.load_latest(5, |_| Ok(())).unwrap().state.rewound.t, 9);
             cleanup(&path);
         }
     }
@@ -778,7 +774,7 @@ mod tests {
         store.save(&dummy(5, 3)).unwrap();
         store.save(&dummy(5, 6)).expect("bit flip is silent at save time");
         let recovered = store.load_latest(5, |_| Ok(())).expect("fallback");
-        assert_eq!(recovered.t, 3, "checksum must reject the flipped primary");
+        assert_eq!(recovered.state.rewound.t, 3, "checksum must reject the flipped primary");
         assert!(sibling(&path, "corrupt-0").exists());
         cleanup(&path);
     }

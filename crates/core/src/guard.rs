@@ -11,10 +11,14 @@
 //!    and divergence (an EMA blow-up); periodically it checks weights
 //!    for NaN/inf and probes the generator for mode collapse (scored by
 //!    the duplicate-fraction diagnostic of §5.2).
-//! 2. **Recover** — on a trip the trainer rolls generator,
-//!    discriminator and optimizer state back to the last healthy epoch
-//!    snapshot, decays the learning rate, and re-seeds the noise
-//!    stream.
+//! 2. **Recover** — on a trip the trainer rewinds to the training state
+//!    (`TrainState`) captured at the last clean epoch boundary, the
+//!    value a checkpoint saves: both networks' parameters, module state
+//!    and dropout streams, the optimizer moments (only while their loss
+//!    family is still active), the loss envelope and the step counters.
+//!    It keeps on purpose the noise stream, which it re-seeds, the fault
+//!    arming, the recovery trace, the learning rate, which it decays,
+//!    and any escalation.
 //! 3. **Escalate** — after `rollback_retries` failed rollbacks it
 //!    applies the paper's own remedy reachable inside the trainer:
 //!    switching to WTrain (Wasserstein loss + RMSProp + weight

@@ -17,6 +17,10 @@
 //! keeps the open-loop behaviour (guards disabled) for callers that
 //! want the raw algorithms.
 //!
+//! One value, `TrainState`, holds the training state at initialization
+//! and at each clean epoch boundary. Rollback and degrade rewind to it,
+//! a checkpoint saves it, and resume restores it.
+//!
 //! Every D and G step runs its matmuls, convolutions and reductions on
 //! daisy-tensor's worker pool (`daisy_tensor::pool`, sized by
 //! `DAISY_THREADS`). The pool's determinism contract — bit-identical
@@ -40,16 +44,8 @@ use daisy_nn::{
     zero_grads, Adam, Optimizer, RmsProp,
 };
 use daisy_telemetry::{field, schema};
-use daisy_tensor::{no_grad, Param, Rng, Tensor, Var};
-
-/// Emits the typed `recovery` event for one recovery-trace entry.
-/// Exactly one event per entry: every push onto `outcome.recoveries`
-/// is paired with one call.
-fn emit_recovery(event: &RecoveryEvent) {
-    if daisy_telemetry::enabled() {
-        daisy_telemetry::emit(schema::RECOVERY, event.telemetry_fields());
-    }
-}
+use daisy_tensor::{no_grad, Param, Rng, RngState, Tensor, Var};
+use std::borrow::Cow;
 
 /// Aggregate losses of one training epoch.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +62,7 @@ pub struct EpochStats {
 
 /// The result of a training run: per-epoch generator snapshots (for
 /// validation-based model selection, §6.2) and loss history.
+#[derive(Clone, Default)]
 pub struct TrainingRun {
     /// Generator parameter snapshots, one per epoch.
     pub snapshots: Vec<Vec<Tensor>>,
@@ -81,21 +78,113 @@ pub struct ResilientRun {
     pub outcome: TrainOutcome,
 }
 
-/// Everything needed to rewind training to a healthy point: network
-/// parameters, optimizer moments, step/epoch counters and the guard's
-/// loss envelope. Captured at initialization and after every clean
-/// epoch.
-struct Healthy {
-    g: Vec<Tensor>,
-    d: Vec<Tensor>,
-    opt_g: Vec<Tensor>,
-    opt_d: Vec<Tensor>,
-    /// Loss family the optimizer states belong to (a WTrain switch
-    /// invalidates Adam moments).
-    loss: LossKind,
-    t: usize,
-    epochs_done: usize,
-    ema: (f32, f32, usize),
+/// The training state at initialization or at a clean epoch boundary:
+/// the one value behind rollback, degrade, checkpoint save and resume.
+/// Resume restores all of it; rollback and degrade rewind `rewound` and
+/// keep `kept` on purpose. It holds no copy of the run's history and
+/// snapshot ring: those grow only at clean boundaries, so they always
+/// end at the last clean state.
+#[derive(Clone)]
+pub(crate) struct TrainState {
+    pub(crate) rewound: Rewound,
+    pub(crate) kept: Kept,
+}
+
+/// The part of a [`TrainState`] that rollback and degrade rewind.
+#[derive(Clone)]
+pub(crate) struct Rewound {
+    pub(crate) g_params: Vec<Tensor>,
+    /// Generator module state (BatchNorm running statistics).
+    pub(crate) g_state: Vec<Tensor>,
+    pub(crate) d_params: Vec<Tensor>,
+    pub(crate) d_state: Vec<Tensor>,
+    /// Discriminator dropout streams.
+    pub(crate) d_rng: Vec<RngState>,
+    /// Optimizer moments of the loss family `Kept::loss` names. A rewind
+    /// restores them only while that family is still the active one.
+    pub(crate) opt_g: Vec<Tensor>,
+    pub(crate) opt_d: Vec<Tensor>,
+    /// Guard loss envelope `(ema_d, ema_g, steps_seen)`.
+    pub(crate) ema: (f32, f32, usize),
+    /// Next step to execute.
+    pub(crate) t: usize,
+    pub(crate) epochs_done: usize,
+}
+
+/// The part of a [`TrainState`] that rollback keeps on purpose: resetting
+/// it would replay the failure (the noise stream), re-inject spent faults
+/// (the arming), forget the recovery history (the trace, `lr_scale`,
+/// `plain_rollbacks`) or undo an escalation (`loss`, `d_steps`). Only
+/// resume restores it.
+#[derive(Clone)]
+pub(crate) struct Kept {
+    /// Main training RNG stream, re-seeded by every rollback.
+    pub(crate) rng: RngState,
+    /// Fault-plan arming flags ([`crate::fault::FaultPlan`]).
+    pub(crate) fired: Vec<bool>,
+    /// Recovery trace and escalation flags.
+    pub(crate) outcome: TrainOutcome,
+    pub(crate) lr_scale: f32,
+    pub(crate) plain_rollbacks: usize,
+    /// Active loss family, which is also the family of the captured
+    /// optimizer moments: the live optimizers always belong to it.
+    pub(crate) loss: LossKind,
+    pub(crate) d_steps: usize,
+}
+
+impl TrainState {
+    /// Captures the live state.
+    fn capture(tr: &Trainer<'_>) -> TrainState {
+        TrainState {
+            rewound: Rewound {
+                g_params: snapshot(&tr.g.params()),
+                g_state: tr.g.state(),
+                d_params: snapshot(&tr.d.params()),
+                d_state: tr.d.state(),
+                d_rng: tr.d.rng_states(),
+                opt_g: tr.opt_g.state(),
+                opt_d: tr.opt_d.state(),
+                ema: tr.guard.ema_state(),
+                t: tr.t,
+                epochs_done: tr.run.history.len(),
+            },
+            kept: Kept {
+                rng: tr.rng.state(),
+                fired: tr.armed.fired().to_vec(),
+                outcome: tr.outcome.clone(),
+                lr_scale: tr.lr_scale,
+                plain_rollbacks: tr.plain_rollbacks,
+                loss: tr.cfg.loss,
+                d_steps: tr.cfg.d_steps,
+            },
+        }
+    }
+
+    /// Rewinds the `rewound` part. The optimizers are rebuilt for the
+    /// active loss at the scaled learning rates, and take the captured
+    /// moments only when those belong to the same loss family.
+    fn rewind(&self, tr: &mut Trainer<'_>) {
+        let r = &self.rewound;
+        restore(&tr.g.params(), &r.g_params);
+        tr.g.set_state(&r.g_state);
+        restore(&tr.d.params(), &r.d_params);
+        tr.d.set_state(&r.d_state);
+        tr.d.set_rng_states(&r.d_rng);
+        (tr.opt_g, tr.opt_d) = build_optimizers(
+            tr.cfg.loss,
+            tr.g,
+            tr.d,
+            tr.cfg.lr_g * tr.lr_scale,
+            tr.cfg.lr_d * tr.lr_scale,
+        );
+        if self.kept.loss == tr.cfg.loss {
+            tr.opt_g.set_state(&r.opt_g);
+            tr.opt_d.set_state(&r.opt_d);
+        }
+        tr.guard.restore_ema(r.ema);
+        tr.t = r.t;
+        tr.losses.clear();
+    }
 }
 
 /// Trains `g` against `d` on `data` per `cfg`, open-loop (guards
@@ -163,37 +252,51 @@ fn build_optimizers(
     }
 }
 
-/// Checks that every tensor a checkpoint would restore has the count
-/// and shape the live networks and optimizers expect. The restore
-/// setters assert, so a CRC-valid checkpoint that does not fit (a
-/// re-sealed edit) must be refused here, as corruption.
+/// Checks that a CRC-valid checkpoint fits this run before anything is
+/// restored: its counters agree with each other and with `cfg`'s epoch
+/// layout, and every tensor has the count and shape the live networks
+/// and optimizers expect (the restore setters assert). A re-sealed edit
+/// that fails either check is refused here, as corruption.
 fn checkpoint_fits(
     c: &TrainCheckpoint,
     g: &dyn Generator,
     d: &dyn Discriminator,
+    cfg: &TrainConfig,
 ) -> Result<(), String> {
+    let (s, run) = (&c.state.rewound, &*c.run);
+    let epochs = cfg.epochs.max(1);
+    let done = s.epochs_done;
+    // The next step once epoch `done` has closed.
+    let t = (done * cfg.iterations.div_ceil(epochs)).min(cfg.iterations);
+    let (h, n) = (run.history.len(), run.snapshots.len());
+    if !(1..=epochs).contains(&done) || h != done || n != done || s.t != t {
+        return Err(format!(
+            "counters disagree: step {}, {done} of {epochs} epochs, {h} history, {n} snapshots",
+            s.t
+        ));
+    }
     let shapes = |ts: Vec<Tensor>| ts.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>();
     let g_params: Vec<Vec<usize>> = g.params().iter().map(Param::shape).collect();
     // Optimizer state layout depends on the loss family the checkpoint
     // trained under (a WTrain escalation switches Adam to RMSProp).
-    let (opt_g, opt_d) = build_optimizers(c.loss, g, d, 0.0, 0.0);
-    check_shapes("generator parameter", g_params.clone(), &c.g_params)?;
-    check_shapes("generator state", shapes(g.state()), &c.g_state)?;
+    let (opt_g, opt_d) = build_optimizers(c.state.kept.loss, g, d, 0.0, 0.0);
+    check_shapes("generator parameter", g_params.clone(), &s.g_params)?;
+    check_shapes("generator state", shapes(g.state()), &s.g_state)?;
     check_shapes(
         "discriminator parameter",
         d.params().iter().map(Param::shape),
-        &c.d_params,
+        &s.d_params,
     )?;
-    check_shapes("discriminator state", shapes(d.state()), &c.d_state)?;
-    check_shapes("generator optimizer", shapes(opt_g.state()), &c.opt_g)?;
-    check_shapes("discriminator optimizer", shapes(opt_d.state()), &c.opt_d)?;
-    for snap in &c.snapshots {
+    check_shapes("discriminator state", shapes(d.state()), &s.d_state)?;
+    check_shapes("generator optimizer", shapes(opt_g.state()), &s.opt_g)?;
+    check_shapes("discriminator optimizer", shapes(opt_d.state()), &s.opt_d)?;
+    for snap in &run.snapshots {
         check_shapes("snapshot", g_params.clone(), snap)?;
     }
-    if c.d_rng.len() != d.rng_states().len() {
+    if s.d_rng.len() != d.rng_states().len() {
         return Err(format!(
             "discriminator rng count mismatch: file has {}, architecture needs {}",
-            c.d_rng.len(),
+            s.d_rng.len(),
             d.rng_states().len()
         ));
     }
@@ -296,124 +399,177 @@ pub fn train_gan_checkpointed(
             ],
         );
     }
-    let g_params = g.params();
-    let d_params = d.params();
+    let (opt_g, opt_d) = build_optimizers(cfg.loss, g, d, cfg.lr_g, cfg.lr_d);
+    let trainer = Trainer {
+        g,
+        d,
+        data,
+        softmax_spans,
+        // Algorithm 3 iterates every label in the domain per generator
+        // iteration; the other algorithms take one step.
+        labels: if cfg.conditional && cfg.label_aware {
+            (0..data.n_classes() as u32).map(Some).collect()
+        } else {
+            vec![None]
+        },
+        cfg: cfg.clone(),
+        opt_g,
+        opt_d,
+        guard: TrainGuard::new(guard_cfg.clone()),
+        armed: ArmedFaults::new(plan),
+        rng,
+        lr_scale: 1.0,
+        plain_rollbacks: 0,
+        outcome: TrainOutcome::default(),
+        run: TrainingRun::default(),
+        t: 0,
+        losses: Vec::new(),
+    };
     g.set_training(true);
     d.set_training(true);
+    let result = trainer.train(ckpt);
+    g.set_training(false);
+    d.set_training(false);
+    let mut res = result?;
+    res.outcome.completed_epochs = res.run.history.len();
+    if daisy_telemetry::enabled() {
+        daisy_telemetry::emit(
+            schema::TRAIN_END,
+            vec![
+                field("completed_epochs", res.outcome.completed_epochs),
+                field("recoveries", res.outcome.recoveries.len()),
+                field("degraded", res.outcome.degraded),
+                field("escalated_wtrain", res.outcome.escalated_wtrain),
+            ],
+        );
+    }
+    Ok(res)
+}
 
-    // `active` may diverge from `cfg` after a WTrain escalation.
-    let mut active = cfg.clone();
-    let (mut opt_g, mut opt_d) = build_optimizers(active.loss, g, d, active.lr_g, active.lr_d);
-    let mut lr_scale = 1.0f32;
+/// The live state of one training run; [`TrainState`] is its capture.
+struct Trainer<'a> {
+    g: &'a dyn Generator,
+    d: &'a dyn Discriminator,
+    data: &'a dyn BatchSource,
+    softmax_spans: &'a [(usize, usize)],
+    /// The label of each step of one generator iteration.
+    labels: Vec<Option<u32>>,
+    /// The configuration with the escalated loss and `d_steps`. The
+    /// learning rates are the configured ones; `lr_scale` scales them.
+    cfg: TrainConfig,
+    opt_g: Box<dyn Optimizer>,
+    opt_d: Box<dyn Optimizer>,
+    guard: TrainGuard,
+    armed: ArmedFaults,
+    rng: &'a mut Rng,
+    lr_scale: f32,
+    plain_rollbacks: usize,
+    outcome: TrainOutcome,
+    run: TrainingRun,
+    /// Next step to execute.
+    t: usize,
+    /// The d, g and kl losses of each step of the epoch in progress.
+    losses: Vec<[f32; 3]>,
+}
 
-    let mut guard = TrainGuard::new(guard_cfg.clone());
-    let mut armed = ArmedFaults::new(plan);
-    let mut outcome = TrainOutcome::default();
-
-    let epochs = cfg.epochs.max(1);
-    let iters_per_epoch = cfg.iterations.div_ceil(epochs);
-    let mut run = TrainingRun {
-        snapshots: Vec::with_capacity(epochs),
-        history: Vec::with_capacity(epochs),
-    };
-    let mut acc = (0.0f64, 0.0f64, 0.0f64, 0usize); // d, g, kl, count
-
-    // The initialization state is the rollback target until the first
-    // clean epoch completes.
-    let mut healthy = Healthy {
-        g: snapshot(&g_params),
-        d: snapshot(&d_params),
-        opt_g: opt_g.state(),
-        opt_d: opt_d.state(),
-        loss: active.loss,
-        t: 0,
-        epochs_done: 0,
-        ema: guard.ema_state(),
-    };
-
-    let mut plain_rollbacks = 0usize;
-    let mut t = 0usize;
-
-    // ---- resume from a durable checkpoint, when one exists ----
-    let mut store = ckpt
-        .path
-        .as_ref()
-        .map(|p| CheckpointStore::new(p.clone(), &ckpt.io_faults));
-    if let Some(store) = store.as_ref() {
-        if let Some(c) = store.load_latest(ckpt.fingerprint, |c| checkpoint_fits(c, g, d)) {
-            // Restore the *complete* state captured at the boundary:
-            // anything short of this list (weights alone, say) would
-            // replay a different trajectory than the uninterrupted run.
-            active.loss = c.loss;
-            active.d_steps = c.d_steps;
-            lr_scale = c.lr_scale;
-            let (og, od) =
-                build_optimizers(active.loss, g, d, cfg.lr_g * lr_scale, cfg.lr_d * lr_scale);
-            opt_g = og;
-            opt_d = od;
-            opt_g.set_state(&c.opt_g);
-            opt_d.set_state(&c.opt_d);
-            restore(&g_params, &c.g_params);
-            g.set_state(&c.g_state);
-            restore(&d_params, &c.d_params);
-            d.set_state(&c.d_state);
-            d.set_rng_states(&c.d_rng);
-            guard.restore_ema(c.ema);
-            armed.restore_fired(&c.fired);
-            *rng = Rng::from_state(c.rng);
-            outcome = c.outcome;
-            run.history = c.history;
-            run.snapshots = c.snapshots;
-            plain_rollbacks = c.plain_rollbacks;
-            t = c.t;
-            healthy = Healthy {
-                g: c.g_params,
-                d: c.d_params,
-                opt_g: c.opt_g,
-                opt_d: c.opt_d,
-                loss: c.loss,
-                t: c.t,
-                epochs_done: c.epochs_done,
-                ema: c.ema,
-            };
-            if daisy_telemetry::enabled() {
-                daisy_telemetry::emit(
-                    schema::CHECKPOINT_RESTORE,
-                    vec![field("step", t), field("epoch", healthy.epochs_done)],
-                );
+impl Trainer<'_> {
+    /// Runs the step loop, from the checkpoint `ckpt` names when a valid
+    /// one exists and from initialization otherwise.
+    fn train(mut self, ckpt: &CheckpointPlan) -> Result<ResilientRun, TrainError> {
+        let iters_per_epoch = self.cfg.iterations.div_ceil(self.cfg.epochs.max(1));
+        let mut store = ckpt
+            .path
+            .as_ref()
+            .map(|p| CheckpointStore::new(p.clone(), &ckpt.io_faults));
+        let fits = |c: &TrainCheckpoint| checkpoint_fits(c, self.g, self.d, &self.cfg);
+        let resumed = store
+            .as_ref()
+            .and_then(|s| s.load_latest(ckpt.fingerprint, fits));
+        let mut last_clean = match resumed {
+            // Resume restores all of the state: anything short of it
+            // would replay a different trajectory than the uninterrupted run.
+            Some(c) => {
+                let k = &c.state.kept;
+                *self.rng = Rng::from_state(k.rng);
+                self.armed.restore_fired(&k.fired);
+                self.outcome = k.outcome.clone();
+                self.lr_scale = k.lr_scale;
+                self.plain_rollbacks = k.plain_rollbacks;
+                self.cfg.loss = k.loss;
+                self.cfg.d_steps = k.d_steps;
+                c.state.rewind(&mut self);
+                self.run = c.run.into_owned();
+                if daisy_telemetry::enabled() {
+                    let epoch = c.state.rewound.epochs_done;
+                    let fields = vec![field("step", self.t), field("epoch", epoch)];
+                    daisy_telemetry::emit(schema::CHECKPOINT_RESTORE, fields);
+                }
+                c.state.into_owned()
             }
-            if run.snapshots.len() >= epochs {
-                // The checkpoint already covers the full run: nothing
-                // left to train.
-                t = active.iterations;
+            // The initialization state is the rollback target until the
+            // first clean epoch completes.
+            None => TrainState::capture(&self),
+        };
+
+        // Phase profiling: one "epoch" scope spans every step of an epoch
+        // so the kernel phases underneath aggregate as fit/epoch/...
+        // paths. The scope is closed at each clean boundary and reopened
+        // on the next step; a no-op unless profiling is enabled.
+        let mut epoch_scope = None;
+        while self.t < self.cfg.iterations {
+            if epoch_scope.is_none() {
+                epoch_scope = Some(daisy_telemetry::profile::scope("epoch"));
+            }
+            // ---- deterministic kill (crash stand-in for resume tests) ----
+            // Before any emission or mutation for this step, so the killed
+            // run's telemetry is an exact prefix of the uninterrupted one.
+            if ckpt.kill_at_step == Some(self.t) {
+                return Err(TrainError::Interrupted {
+                    step: self.t,
+                    epoch: self.run.history.len(),
+                });
+            }
+            let end_of_epoch =
+                (self.t + 1).is_multiple_of(iters_per_epoch) || self.t + 1 == self.cfg.iterations;
+            if let Some(reason) = self.advance(end_of_epoch)? {
+                if self.recover(reason, &last_clean)? {
+                    continue;
+                }
+                break;
+            }
+            self.t += 1;
+            if end_of_epoch {
+                self.close_epoch();
+                last_clean = TrainState::capture(&self);
+                let due = self.run.history.len().is_multiple_of(ckpt.every.max(1));
+                if let Some(store) = store.as_mut().filter(|_| due) {
+                    // A failed save never fails training: the previous
+                    // checkpoint still protects the run.
+                    let _ = store.save(&TrainCheckpoint {
+                        fingerprint: ckpt.fingerprint,
+                        state: Cow::Borrowed(&last_clean),
+                        run: Cow::Borrowed(&self.run),
+                    });
+                }
+                epoch_scope = None;
             }
         }
+        Ok(ResilientRun {
+            run: self.run,
+            outcome: self.outcome,
+        })
     }
 
-    // Phase profiling: one "epoch" scope spans every step of an epoch so
-    // the kernel phases underneath aggregate as fit/epoch/... paths. The
-    // scope is closed at each clean boundary and reopened on the next
-    // step; a no-op unless profiling is enabled.
-    let mut epoch_scope: Option<daisy_telemetry::profile::PhaseScope> = None;
-    while t < active.iterations {
-        if epoch_scope.is_none() {
-            epoch_scope = Some(daisy_telemetry::profile::scope("epoch"));
-        }
-        // ---- deterministic kill (crash stand-in for resume tests) ----
-        // Before any emission or mutation for step t, so the killed
-        // run's telemetry is an exact prefix of the uninterrupted one.
-        if ckpt.kill_at_step == Some(t) {
-            g.set_training(false);
-            d.set_training(false);
-            return Err(TrainError::Interrupted {
-                step: t,
-                epoch: run.history.len(),
-            });
-        }
+    /// Executes step `self.t`: its scheduled faults, the pre-step health
+    /// checks, then one generator iteration (a step per entry of
+    /// `labels`). Returns the trip the guard raised, if any.
+    fn advance(&mut self, end_of_epoch: bool) -> Result<Option<TripReason>, TrainError> {
+        let t = self.t;
+        let (g_params, d_params) = (self.g.params(), self.d.params());
 
         // ---- deterministic fault injection ----
         let mut poison = false;
-        for fault in armed.take(t) {
+        for fault in self.armed.take(t) {
             if daisy_telemetry::enabled() {
                 daisy_telemetry::emit(
                     schema::FAULT_FIRED,
@@ -429,7 +585,7 @@ pub fn train_gan_checkpointed(
                         let shape = p.value().shape().to_vec();
                         p.var().backward_with(Tensor::full(&shape, f32::NAN));
                     }
-                    opt_d.step();
+                    self.opt_d.step();
                 }
                 Fault::PoisonBatch { .. } => poison = true,
                 Fault::ForceCollapse { .. } => {
@@ -445,303 +601,154 @@ pub fn train_gan_checkpointed(
         // corruption present at step t is caught at step t — one Adam
         // step with accumulated momentum is enough to smear a zeroed or
         // poisoned network back into plausible-looking weights.
-        let mut trip: Option<TripReason> = None;
-        if guard.weights_due(t) && (params_non_finite(&g_params) || params_non_finite(&d_params)) {
-            trip = Some(TripReason::NonFiniteWeights);
+        let non_finite = || params_non_finite(&g_params) || params_non_finite(&d_params);
+        if self.guard.weights_due(t) && non_finite() {
+            return Ok(Some(TripReason::NonFiniteWeights));
         }
-        if trip.is_none() && guard.probe_due(t) {
-            let samples = collapse_probe(g, data, &active, guard.config().probe_rows, rng);
-            trip = guard.check_probe(&samples);
+        if self.guard.probe_due(t) {
+            let rows = self.guard.config().probe_rows;
+            let samples = collapse_probe(self.g, self.data, &self.cfg, rows, self.rng);
+            if let Some(trip) = self.guard.check_probe(&samples) {
+                return Ok(Some(trip));
+            }
         }
 
         // ---- one generator iteration ----
-        let end_of_epoch = (t + 1).is_multiple_of(iters_per_epoch) || t + 1 == active.iterations;
-        if trip.is_none() {
-            let mut losses: Vec<(f32, f32)> = Vec::with_capacity(1);
-            if active.conditional && active.label_aware {
-                // Algorithm 3: iterate every label in the domain.
-                for y in 0..data.n_classes() as u32 {
-                    let (dl, gl, kl) = match step(
-                        g,
-                        d,
-                        data,
-                        softmax_spans,
-                        &active,
-                        Some(y),
-                        poison,
-                        &mut *opt_g,
-                        &mut *opt_d,
-                        rng,
-                    ) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            g.set_training(false);
-                            d.set_training(false);
-                            return Err(e);
-                        }
-                    };
-                    acc = (acc.0 + dl as f64, acc.1 + gl as f64, acc.2 + kl as f64, acc.3 + 1);
-                    losses.push((dl, gl));
-                }
-            } else {
-                let (dl, gl, kl) = match step(
-                    g,
-                    d,
-                    data,
-                    softmax_spans,
-                    &active,
-                    None,
-                    poison,
-                    &mut *opt_g,
-                    &mut *opt_d,
-                    rng,
-                ) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        g.set_training(false);
-                        d.set_training(false);
-                        return Err(e);
-                    }
-                };
-                acc = (acc.0 + dl as f64, acc.1 + gl as f64, acc.2 + kl as f64, acc.3 + 1);
-                losses.push((dl, gl));
-            }
-
-            for (dl, gl) in losses {
-                if trip.is_none() {
-                    trip = guard.observe_losses(dl, gl);
-                }
-            }
-            // Never snapshot a poisoned epoch: sweep the weights at the
-            // boundary even when the periodic cadence missed it.
-            if trip.is_none()
-                && end_of_epoch
-                && (params_non_finite(&g_params) || params_non_finite(&d_params))
-            {
-                trip = Some(TripReason::NonFiniteWeights);
-            }
+        let mut trip = None;
+        for &label in &self.labels {
+            let (dl, gl, kl) = step(
+                self.g,
+                self.d,
+                self.data,
+                self.softmax_spans,
+                &self.cfg,
+                label,
+                poison,
+                &mut *self.opt_g,
+                &mut *self.opt_d,
+                self.rng,
+            )?;
+            self.losses.push([dl, gl, kl]);
+            trip = trip.or_else(|| self.guard.observe_losses(dl, gl));
         }
+        // Never snapshot a poisoned epoch: sweep the weights at the
+        // boundary even when the periodic cadence missed it.
+        if trip.is_none() && end_of_epoch && non_finite() {
+            trip = Some(TripReason::NonFiniteWeights);
+        }
+        Ok(trip)
+    }
 
-        // ---- recovery policy ----
-        if let Some(reason) = trip {
-            if daisy_telemetry::enabled() {
-                let mut fields = vec![field("step", t), field("epoch", run.history.len())];
-                fields.extend(reason.telemetry_fields());
-                daisy_telemetry::emit(schema::GUARD_TRIP, fields);
-            }
-            if outcome.recoveries.len() >= guard_cfg.max_recoveries {
-                // Budget exhausted: degrade to the best healthy state,
-                // or fail when none exists.
-                outcome.recoveries.push(RecoveryEvent {
-                    step: t,
-                    epoch: run.history.len(),
-                    reason,
-                    action: RecoveryAction::Degrade,
-                });
-                emit_recovery(outcome.recoveries.last().unwrap());
-                if run.history.is_empty() {
-                    g.set_training(false);
-                    d.set_training(false);
-                    return Err(TrainError::Unrecoverable {
-                        trace: outcome.recoveries,
-                        last: reason,
-                    });
-                }
-                restore(&g_params, &healthy.g);
-                restore(&d_params, &healthy.d);
-                outcome.degraded = true;
-                break;
-            }
-
-            let switch = guard_cfg.escalate_wtrain
-                && matches!(active.loss, LossKind::Vanilla)
-                && plain_rollbacks >= guard_cfg.rollback_retries;
-            lr_scale *= guard_cfg.lr_decay;
-
-            restore(&g_params, &healthy.g);
-            restore(&d_params, &healthy.d);
-            if switch {
+    /// The recovery policy for a trip at step `self.t`. Within budget it
+    /// rolls back to `last_clean` with a decayed learning rate and a
+    /// re-seeded noise stream — switching to WTrain once
+    /// `rollback_retries` plain rollbacks have not helped — and returns
+    /// `Ok(true)`. With the budget spent it degrades to `last_clean` and
+    /// returns `Ok(false)`, or fails when no clean epoch exists yet.
+    fn recover(&mut self, reason: TripReason, last_clean: &TrainState) -> Result<bool, TrainError> {
+        let (step, epoch) = (self.t, self.run.history.len());
+        if daisy_telemetry::enabled() {
+            let mut fields = vec![field("step", step), field("epoch", epoch)];
+            fields.extend(reason.telemetry_fields());
+            daisy_telemetry::emit(schema::GUARD_TRIP, fields);
+        }
+        let policy = self.guard.config().clone();
+        let degrade = self.outcome.recoveries.len() >= policy.max_recoveries;
+        let action = if degrade {
+            RecoveryAction::Degrade
+        } else {
+            self.lr_scale *= policy.lr_decay;
+            let lr_scale = self.lr_scale;
+            if policy.escalate_wtrain
+                && self.cfg.loss == LossKind::Vanilla
+                && self.plain_rollbacks >= policy.rollback_retries
+            {
                 // The paper's alternative training (§5.2): Wasserstein
                 // loss, RMSProp, several critic steps per G step. The
-                // healthy optimizer moments belong to Adam, so the
-                // optimizers are rebuilt fresh.
-                active.loss = LossKind::Wasserstein;
-                active.d_steps = active.d_steps.max(3);
-                let (og, od) = build_optimizers(
-                    active.loss,
-                    g,
-                    d,
-                    cfg.lr_g * lr_scale,
-                    cfg.lr_d * lr_scale,
-                );
-                opt_g = og;
-                opt_d = od;
-                outcome.escalated_wtrain = true;
-            } else if healthy.loss == active.loss {
-                opt_g.set_state(&healthy.opt_g);
-                opt_d.set_state(&healthy.opt_d);
-                opt_g.set_lr(cfg.lr_g * lr_scale);
-                opt_d.set_lr(cfg.lr_d * lr_scale);
-                plain_rollbacks += 1;
+                // rewind builds RMSProp fresh: the boundary's moments
+                // belong to Adam.
+                self.cfg.loss = LossKind::Wasserstein;
+                self.cfg.d_steps = self.cfg.d_steps.max(3);
+                self.outcome.escalated_wtrain = true;
+                RecoveryAction::SwitchToWTrain { lr_scale }
             } else {
-                // Snapshot predates a loss switch: moments don't apply.
-                let (og, od) = build_optimizers(
-                    active.loss,
-                    g,
-                    d,
-                    cfg.lr_g * lr_scale,
-                    cfg.lr_d * lr_scale,
-                );
-                opt_g = og;
-                opt_d = od;
-                plain_rollbacks += 1;
+                self.plain_rollbacks += 1;
+                RecoveryAction::Rollback { lr_scale }
             }
-
-            run.history.truncate(healthy.epochs_done);
-            run.snapshots.truncate(healthy.epochs_done);
-            acc = (0.0, 0.0, 0.0, 0);
-            guard.restore_ema(healthy.ema);
-            // Re-seed the noise stream so the replay explores a fresh
-            // trajectory — deterministically derived from the current
-            // stream state and the recovery index.
-            let salt = (outcome.recoveries.len() as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            *rng = Rng::seed_from_u64(rng.next_u64() ^ salt);
-
-            outcome.recoveries.push(RecoveryEvent {
-                step: t,
-                epoch: run.history.len(),
-                reason,
-                action: if switch {
-                    RecoveryAction::SwitchToWTrain { lr_scale }
-                } else {
-                    RecoveryAction::Rollback { lr_scale }
-                },
-            });
-            emit_recovery(outcome.recoveries.last().unwrap());
-            t = healthy.t;
-            continue;
+        };
+        let event = RecoveryEvent {
+            step,
+            epoch,
+            reason,
+            action,
+        };
+        // Exactly one `recovery` event per recovery-trace entry.
+        if daisy_telemetry::enabled() {
+            daisy_telemetry::emit(schema::RECOVERY, event.telemetry_fields());
         }
-
-        // ---- clean epoch boundary: record and snapshot ----
-        if end_of_epoch {
-            let n = acc.3.max(1) as f64;
-            run.history.push(EpochStats {
-                epoch: run.history.len(),
-                d_loss: (acc.0 / n) as f32,
-                g_loss: (acc.1 / n) as f32,
-                kl: (acc.2 / n) as f32,
+        self.outcome.recoveries.push(event);
+        if degrade && self.run.history.is_empty() {
+            return Err(TrainError::Unrecoverable {
+                trace: std::mem::take(&mut self.outcome.recoveries),
+                last: reason,
             });
-            run.snapshots.push(snapshot(&g_params));
-            if daisy_telemetry::enabled() {
-                let stats = run.history.last().unwrap();
-                // Gradient norms are read-only probes of the last step's
-                // grads; the values are deterministic (pool contract) so
-                // they may live in the event stream, and the gauges make
-                // them visible in metrics snapshots too.
-                let gn_g = grad_norm(&g_params);
-                let gn_d = grad_norm(&d_params);
-                daisy_telemetry::metrics::gauge("train.grad_norm_g").set(gn_g as f64);
-                daisy_telemetry::metrics::gauge("train.grad_norm_d").set(gn_d as f64);
-                daisy_telemetry::emit(
-                    schema::EPOCH,
-                    vec![
-                        field("epoch", stats.epoch),
-                        field("step", t),
-                        field("d_loss", stats.d_loss),
-                        field("g_loss", stats.g_loss),
-                        field("kl", stats.kl),
-                        field("grad_norm_g", gn_g),
-                        field("grad_norm_d", gn_d),
-                    ],
-                );
-                daisy_telemetry::emit(
-                    schema::SNAPSHOT,
-                    vec![field("epoch", stats.epoch), field("step", t)],
-                );
-            }
-            acc = (0.0, 0.0, 0.0, 0);
-            healthy = Healthy {
-                g: snapshot(&g_params),
-                d: snapshot(&d_params),
-                opt_g: opt_g.state(),
-                opt_d: opt_d.state(),
-                loss: active.loss,
-                t: t + 1,
-                epochs_done: run.history.len(),
-                ema: guard.ema_state(),
-            };
-            // ---- durable checkpoint of the boundary state ----
-            if let Some(store) = store.as_mut() {
-                if run.history.len().is_multiple_of(ckpt.every.max(1)) {
-                    let payload = TrainCheckpoint {
-                        fingerprint: ckpt.fingerprint,
-                        t: healthy.t,
-                        epochs_done: healthy.epochs_done,
-                        loss: healthy.loss,
-                        d_steps: active.d_steps,
-                        lr_scale,
-                        plain_rollbacks,
-                        ema: healthy.ema,
-                        rng: rng.state(),
-                        fired: armed.fired().to_vec(),
-                        outcome: outcome.clone(),
-                        g_params: healthy.g.clone(),
-                        g_state: g.state(),
-                        d_params: healthy.d.clone(),
-                        d_state: d.state(),
-                        d_rng: d.rng_states(),
-                        opt_g: healthy.opt_g.clone(),
-                        opt_d: healthy.opt_d.clone(),
-                        history: run.history.clone(),
-                        snapshots: run.snapshots.clone(),
-                    };
-                    match store.save(&payload) {
-                        Ok(bytes) => {
-                            if daisy_telemetry::enabled() {
-                                daisy_telemetry::emit(
-                                    schema::CHECKPOINT_WRITE,
-                                    vec![
-                                        field("epoch", run.history.len() - 1),
-                                        field("step", t),
-                                        field("bytes", bytes),
-                                    ],
-                                );
-                            }
-                        }
-                        Err(_) => {
-                            // A failed save must never fail training:
-                            // the previous checkpoint still protects
-                            // the run. Counted, not emitted, so the
-                            // deterministic trace stays comparable to
-                            // a run whose saves all succeeded.
-                            daisy_telemetry::metrics::counter("checkpoint.save_failures").add(1);
-                        }
-                    }
-                }
-            }
-            epoch_scope = None;
-            if run.snapshots.len() == epochs {
-                break;
-            }
         }
-        t += 1;
+        last_clean.rewind(self);
+        if degrade {
+            self.outcome.degraded = true;
+            return Ok(false);
+        }
+        // Re-seed the noise stream so the replay explores a fresh
+        // trajectory — deterministically derived from the current stream
+        // state and the recovery index.
+        let salt = (self.outcome.recoveries.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        *self.rng = Rng::seed_from_u64(self.rng.next_u64() ^ salt);
+        Ok(true)
     }
-    drop(epoch_scope);
-    g.set_training(false);
-    d.set_training(false);
-    outcome.completed_epochs = run.history.len();
-    if daisy_telemetry::enabled() {
-        daisy_telemetry::emit(
-            schema::TRAIN_END,
-            vec![
-                field("completed_epochs", outcome.completed_epochs),
-                field("recoveries", outcome.recoveries.len()),
-                field("degraded", outcome.degraded),
-                field("escalated_wtrain", outcome.escalated_wtrain),
-            ],
-        );
+
+    /// Closes the epoch that ended at step `self.t - 1`: records its mean
+    /// losses and the generator snapshot that model selection chooses from.
+    fn close_epoch(&mut self) {
+        let step = self.t - 1;
+        let n = self.losses.len().max(1) as f64;
+        let mean = |i: usize| (self.losses.iter().fold(0.0, |s, l| s + l[i] as f64) / n) as f32;
+        let stats = EpochStats {
+            epoch: self.run.history.len(),
+            d_loss: mean(0),
+            g_loss: mean(1),
+            kl: mean(2),
+        };
+        self.losses.clear();
+        let g_params = self.g.params();
+        self.run.history.push(stats);
+        self.run.snapshots.push(snapshot(&g_params));
+        if daisy_telemetry::enabled() {
+            // Gradient norms are read-only probes of the last step's
+            // grads; the values are deterministic (pool contract) so
+            // they may live in the event stream, and the gauges make
+            // them visible in metrics snapshots too.
+            let gn_g = grad_norm(&g_params);
+            let gn_d = grad_norm(&self.d.params());
+            daisy_telemetry::metrics::gauge("train.grad_norm_g").set(gn_g as f64);
+            daisy_telemetry::metrics::gauge("train.grad_norm_d").set(gn_d as f64);
+            daisy_telemetry::emit(
+                schema::EPOCH,
+                vec![
+                    field("epoch", stats.epoch),
+                    field("step", step),
+                    field("d_loss", stats.d_loss),
+                    field("g_loss", stats.g_loss),
+                    field("kl", stats.kl),
+                    field("grad_norm_g", gn_g),
+                    field("grad_norm_d", gn_d),
+                ],
+            );
+            daisy_telemetry::emit(
+                schema::SNAPSHOT,
+                vec![field("epoch", stats.epoch), field("step", step)],
+            );
+        }
     }
-    Ok(ResilientRun { run, outcome })
 }
 
 /// One generator iteration: `d_steps` discriminator updates followed by
@@ -1439,12 +1446,51 @@ mod tests {
 
     #[test]
     fn resume_quarantines_a_resealed_checkpoint_that_does_not_fit() {
-        // CRC-valid sections, right fingerprint, but a BatchNorm running
-        // variance of shape [1, 16] instead of [16]: restoring it would
-        // panic in `set_state`. It must be quarantined like a corrupt
-        // file, and the rerun must train from scratch.
+        // CRC-valid sections, right fingerprint, but contents the live
+        // run cannot take. Each must be quarantined like a corrupt file,
+        // and the rerun must train from scratch.
         use crate::checkpoint::scratch_path;
         use crate::synthesizer::Synthesizer;
+        type Edit = fn(&mut TrainCheckpoint);
+        let edits: [(&str, Edit); 5] = [
+            // Restoring a BatchNorm running variance of shape [1, 16]
+            // instead of [16] would panic in `set_state`.
+            ("misshapen module state", |c| {
+                let g_state = &mut c.state.to_mut().rewound.g_state;
+                let var = g_state.pop().expect("the MLP generator has BatchNorm state");
+                assert_eq!(var.shape(), &[16]);
+                g_state.push(var.reshape(&[1, 16]));
+            }),
+            // Counters past the last step with nothing recorded: resume
+            // would skip the loop and return no snapshot at all.
+            ("counters past the end", |c| {
+                let state = &mut c.state.to_mut().rewound;
+                (state.t, state.epochs_done) = (9, 0);
+                let run = c.run.to_mut();
+                run.history.clear();
+                run.snapshots.clear();
+            }),
+            // One history entry fewer than snapshots.
+            ("short history", |c| {
+                c.run.to_mut().history.pop();
+            }),
+            // Lengths agree, but the step is one short of the boundary:
+            // resume would replay misaligned epochs.
+            ("step off the boundary", |c| {
+                c.state.to_mut().rewound.t -= 1;
+            }),
+            // Four of three epochs done, with a step, history and
+            // snapshots that all agree with four.
+            ("epochs past the end", |c| {
+                let state = &mut c.state.to_mut().rewound;
+                (state.t, state.epochs_done) = (9, 4);
+                let run = c.run.to_mut();
+                for _ in 0..3 {
+                    run.history.push(run.history[0]);
+                    run.snapshots.push(run.snapshots[0].clone());
+                }
+            }),
+        ];
         let table = tiny_table(200, 12);
         let mut cfg = SynthesizerConfig::new(
             NetworkKind::Mlp,
@@ -1456,23 +1502,77 @@ mod tests {
         );
         cfg.g_hidden = vec![16];
         cfg.d_hidden = vec![16];
-        let path = scratch_path("ckpt-misfit-resume");
         let fit = |plan: &CheckpointPlan| {
             Synthesizer::try_fit_checkpointed(&table, &cfg, &test_guard(), &FaultPlan::none(), plan)
         };
-        let killed = fit(&CheckpointPlan::at(&path).kill_at(4));
-        assert!(matches!(killed, Err(TrainError::Interrupted { .. })));
-        let mut ckpt = TrainCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
-        let var = ckpt.g_state.pop().expect("the MLP generator has BatchNorm state");
-        assert_eq!(var.shape(), &[16]);
-        ckpt.g_state.push(var.reshape(&[1, 16]));
-        std::fs::write(&path, ckpt.to_bytes()).unwrap();
+        let fresh = fit(&CheckpointPlan::disabled()).unwrap().to_bytes();
+        for (what, edit) in edits {
+            let path = scratch_path("ckpt-misfit-resume");
+            let killed = fit(&CheckpointPlan::at(&path).kill_at(4));
+            assert!(matches!(killed, Err(TrainError::Interrupted { .. })));
+            let mut ckpt = TrainCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+            edit(&mut ckpt);
+            std::fs::write(&path, ckpt.to_bytes()).unwrap();
 
-        let resumed = fit(&CheckpointPlan::at(&path)).expect("the misfit is skipped, not restored");
-        assert!(daisy_wire::sibling(&path, "corrupt-0").exists());
-        let fresh = fit(&CheckpointPlan::disabled()).unwrap();
-        assert_eq!(resumed.to_bytes(), fresh.to_bytes(), "trained from scratch");
-        for ext in ["corrupt-0", "prev", "tmp"] {
+            let resumed = fit(&CheckpointPlan::at(&path))
+                .unwrap_or_else(|e| panic!("{what}: the misfit is skipped, not restored: {e}"));
+            assert!(daisy_wire::sibling(&path, "corrupt-0").exists(), "{what}");
+            assert_eq!(resumed.to_bytes(), fresh, "{what}: trained from scratch");
+            for ext in ["corrupt-0", "prev", "tmp"] {
+                let _ = std::fs::remove_file(daisy_wire::sibling(&path, ext));
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn degrade_rewinds_module_state_and_dropout_streams() {
+        // A degrade mid-epoch returns to the last clean boundary in full:
+        // generator BatchNorm statistics and discriminator dropout
+        // streams as well as weights, exactly what a resume from that
+        // boundary's checkpoint restores.
+        use crate::checkpoint::scratch_path;
+        let cfg = TrainConfig {
+            iterations: 12,
+            batch_size: 32,
+            epochs: 3,
+            ..TrainConfig::vtrain(12)
+        };
+        let table = tiny_table(400, 50);
+        let codec = RecordCodec::fit(&table, &TransformConfig::sn_ht());
+        let data = TrainingData::from_table(&table, &codec);
+        let mut rng = Rng::seed_from_u64(50);
+        let g = MlpGenerator::new(8, 0, &[32], codec.output_blocks(), &mut rng);
+        let d = MlpDiscriminator::with_dropout(codec.width(), 0, &[32], 0.3, &mut rng);
+        let spans = softmax_spans(&codec.output_blocks());
+        let guard = GuardConfig {
+            max_recoveries: 0,
+            ..test_guard()
+        };
+        let path = scratch_path("degrade-rewind");
+        let res = train_gan_checkpointed(
+            &g,
+            &d,
+            &data,
+            &spans,
+            &cfg,
+            &guard,
+            &FaultPlan::nan_grad_at(6),
+            &CheckpointPlan::at(&path).with_every(1),
+            &mut rng,
+        )
+        .unwrap();
+        assert!(res.outcome.degraded);
+        let ckpt = TrainCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        let last = &ckpt.state.rewound;
+        assert_eq!((last.t, last.epochs_done), (4, 1));
+        assert!(!last.g_state.is_empty() && !last.d_rng.is_empty());
+        assert_eq!(snapshot(&g.params()), last.g_params);
+        assert_eq!(g.state(), last.g_state, "generator BatchNorm statistics");
+        assert_eq!(snapshot(&d.params()), last.d_params);
+        assert_eq!(d.state(), last.d_state);
+        assert_eq!(d.rng_states(), last.d_rng, "discriminator dropout streams");
+        for ext in ["prev", "tmp"] {
             let _ = std::fs::remove_file(daisy_wire::sibling(&path, ext));
         }
         let _ = std::fs::remove_file(&path);

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const UNWRAP_BUDGETS: &[(&str, usize)] = &[
     ("baselines", 2),
     ("bench", 1),
-    ("core", 14),
+    ("core", 10),
     ("daisy", 0),
     ("data", 3),
     ("datasets", 0),

@@ -4,13 +4,17 @@
 //! byte*, and the same deterministic telemetry view, as a run that was
 //! never interrupted — at 1 thread and at N threads.
 //!
+//! A run that tripped the guard resumes the same way: the checkpoint
+//! carries its escalated loss and `d_steps`, decayed learning rate,
+//! rollback count, fault arming and recovery trace.
+//!
 //! Also covered here: injected I/O faults on the checkpoint write path
 //! (torn write, bit flip) must never fail training or corrupt the
 //! resume — a torn save is dropped in favour of the previous
 //! checkpoint, a bit-flipped file is detected at load, quarantined, and
 //! skipped.
 
-use daisy::core::scratch_path;
+use daisy::core::{scratch_path, Fault, RecoveryAction};
 use daisy::prelude::*;
 use daisy::tensor::pool;
 use std::path::{Path, PathBuf};
@@ -44,20 +48,36 @@ fn traced_fit(
     ckpt: &CheckpointPlan,
     threads: usize,
 ) -> (String, Result<Vec<u8>, TrainError>) {
+    let (view, fitted) = traced_fit_with(
+        table,
+        &GuardConfig::default(),
+        &FaultPlan::none(),
+        ckpt,
+        threads,
+    );
+    (view, fitted.map(|fitted| fitted.to_bytes()))
+}
+
+/// [`traced_fit`] under a given guard and fault plan, returning the
+/// fitted model itself.
+fn traced_fit_with(
+    table: &Table,
+    guard: &GuardConfig,
+    faults: &FaultPlan,
+    ckpt: &CheckpointPlan,
+    threads: usize,
+) -> (String, Result<FittedSynthesizer, TrainError>) {
     pool::set_threads(threads);
     let rec = Arc::new(daisy::telemetry::MemoryRecorder::new());
     let mut result = None;
     daisy::telemetry::with_recorder(rec.clone(), || {
-        result = Some(
-            Synthesizer::try_fit_checkpointed(
-                table,
-                &quick_config(),
-                &GuardConfig::default(),
-                &FaultPlan::none(),
-                ckpt,
-            )
-            .map(|fitted| fitted.to_bytes()),
-        );
+        result = Some(Synthesizer::try_fit_checkpointed(
+            table,
+            &quick_config(),
+            guard,
+            faults,
+            ckpt,
+        ));
     });
     pool::set_threads(1);
     let view = daisy::telemetry::trace::deterministic_view(&rec.to_jsonl())
@@ -164,6 +184,87 @@ fn mid_epoch_kill_resume_is_bit_exact() {
     assert_eq!(resumed_bytes.unwrap(), full_bytes.unwrap());
     cleanup(&ref_path);
     cleanup(&kill_path);
+}
+
+/// Faults at steps 1 and 4 trip the guard twice: a rollback to
+/// initialization, then (with one plain retry allowed) a switch to
+/// WTrain back to the t=3 boundary. The run is killed mid-epoch at t=7,
+/// after the t=6 checkpoint. The resumed run must match the
+/// uninterrupted one in model bytes, outcome, trace and final
+/// checkpoint.
+fn tripped_kill_roundtrip(threads: usize) {
+    let table = fixture();
+    let ref_path = scratch_path("resume-tripped-ref");
+    let kill_path = scratch_path("resume-tripped-kill");
+    let guard = GuardConfig {
+        rollback_retries: 1,
+        ..GuardConfig::default()
+    };
+    let faults = FaultPlan::new(vec![Fault::NanGrad { step: 1 }, Fault::NanGrad { step: 4 }]);
+    let fit = |ckpt: &CheckpointPlan| traced_fit_with(&table, &guard, &faults, ckpt, threads);
+
+    let (full_view, full) = fit(&CheckpointPlan::at(&ref_path));
+    let full = full.expect("uninterrupted fit succeeds");
+    let actions: Vec<RecoveryAction> = full.outcome().recoveries.iter().map(|e| e.action).collect();
+    assert!(
+        matches!(
+            actions[..],
+            [RecoveryAction::Rollback { .. }, RecoveryAction::SwitchToWTrain { .. }]
+        ),
+        "expected a rollback, then a WTrain switch: {actions:?}"
+    );
+
+    let (killed_view, killed) = fit(&CheckpointPlan::at(&kill_path).kill_at(7));
+    assert!(matches!(killed, Err(TrainError::Interrupted { step: 7, epoch: 2 })));
+    assert!(full_view.starts_with(&killed_view));
+
+    let (resumed_view, resumed) = fit(&CheckpointPlan::at(&kill_path));
+    let resumed = resumed.expect("resumed fit succeeds");
+    assert_eq!(resumed.to_bytes(), full.to_bytes(), "model bytes differ");
+    // The last checkpoint holds the whole state, including the fault
+    // arming and rollback count that nothing after the kill reads.
+    let last_checkpoint = |path: &Path| std::fs::read(path).expect("a final checkpoint");
+    assert_eq!(
+        last_checkpoint(&kill_path),
+        last_checkpoint(&ref_path),
+        "final checkpoint differs"
+    );
+    // NaN-carrying trip reasons compare unequal under PartialEq; the
+    // debug rendering is the bit-reproducibility witness.
+    assert_eq!(
+        format!("{:?}", resumed.outcome()),
+        format!("{:?}", full.outcome()),
+        "outcome differs"
+    );
+
+    // The resumed trace is the restore preamble plus the uninterrupted
+    // trace after the write of the checkpoint it restored.
+    let full_lines: Vec<&str> = full_view.lines().collect();
+    let resumed_lines: Vec<&str> = resumed_view.lines().collect();
+    let killed_lines: Vec<&str> = killed_view.lines().collect();
+    let restored_from = killed_lines
+        .iter()
+        .rposition(|l| l.contains("\"event\":\"checkpoint_write\""))
+        .expect("the killed run wrote a checkpoint")
+        + 1;
+    assert_eq!(resumed_lines[..2], full_lines[..2], "preamble differs");
+    assert!(resumed_lines[2].contains("\"event\":\"checkpoint_restore\""));
+    let resumed_tail: Vec<String> = resumed_lines[3..].iter().map(|l| strip_seq(l)).collect();
+    let full_tail: Vec<String> = full_lines[restored_from..].iter().map(|l| strip_seq(l)).collect();
+    assert_eq!(resumed_tail, full_tail, "resumed trace tail differs");
+
+    cleanup(&ref_path);
+    cleanup(&kill_path);
+}
+
+#[test]
+fn tripped_run_kill_resume_is_bit_exact_at_1_thread() {
+    tripped_kill_roundtrip(1);
+}
+
+#[test]
+fn tripped_run_kill_resume_is_bit_exact_at_n_threads() {
+    tripped_kill_roundtrip(6);
 }
 
 /// A torn checkpoint write mid-run fails that save with a typed error,
