@@ -1,7 +1,10 @@
 //! Microbenchmarks for the hot kernels under the study: matmul,
 //! convolution, record transformation, and one full GAN training epoch
 //! per network family — each measured serial (1 thread) and parallel
-//! (4 threads) against the pre-parallel naive reference kernels.
+//! (4 threads) against the pre-parallel naive reference kernels — plus
+//! the matmul shapes that dominate a perfbench `fit_cell` (the LSTM
+//! gate products and the classifier zoo's logistic regression). The
+//! report names the matmul body it timed (`matmul_isa`).
 //! Timing is a hand-rolled median-of-samples loop so the suite carries
 //! no external benchmarking dependency.
 //!
@@ -16,9 +19,10 @@ use daisy_core::train::train_gan;
 use daisy_core::{output_head::softmax_spans, NetworkKind, TrainConfig};
 use daisy_data::{RecordCodec, TransformConfig};
 use daisy_datasets::by_name;
+use daisy_eval::FeatureSpace;
 use daisy_telemetry::json::Json;
 use daisy_telemetry::MemoryRecorder;
-use daisy_tensor::{pool, Rng, Tensor};
+use daisy_tensor::{linalg, pool, Rng, Tensor};
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 // daisy-lint: allow(D002) -- benchmarks measure wall time by design
@@ -118,6 +122,41 @@ fn bench_matmul(threads: usize) {
             black_box(a.matmul_nt(&bt));
         });
     }
+}
+
+/// The matmul shapes of a perfbench `fit_cell`, at 1 thread: the LSTM
+/// generator's gate product `[48, 48] x [48, 192]` and its backward
+/// `nt`/`tn` products (batch 48, width 48, 4 × 48 gates), and the
+/// classifier zoo's logistic regression on real features of the Adult
+/// stand-in's 1066-row training split (`[1066, d] x [d, 2]` forward,
+/// `[1066, d]^T x [1066, 2]` for the weight gradient).
+fn bench_fit_cell_shapes() {
+    pool::set_threads(1);
+    let mut rng = Rng::seed_from_u64(8);
+    let x = Tensor::randn(&[48, 48], &mut rng);
+    let w = Tensor::randn(&[48, 192], &mut rng);
+    let d_gates = Tensor::randn(&[48, 192], &mut rng);
+    bench("matmul_48x48x192@1t", 200, || {
+        black_box(x.matmul(&w));
+    });
+    bench("matmul_nt_48x192x48@1t", 200, || {
+        black_box(d_gates.matmul_nt(&w));
+    });
+    bench("matmul_tn_48x48x192@1t", 200, || {
+        black_box(x.matmul_tn(&d_gates));
+    });
+
+    let table = by_name("Adult").unwrap().generate(1066, 9);
+    let features = FeatureSpace::fit(&table).transform(&table);
+    let d = features.cols();
+    let lr_w = Tensor::randn(&[d, 2], &mut rng);
+    let delta = Tensor::randn(&[1066, 2], &mut rng);
+    bench(&format!("matmul_1066x{d}x2@1t"), 100, || {
+        black_box(features.matmul(&lr_w));
+    });
+    bench(&format!("matmul_tn_{d}x1066x2@1t"), 100, || {
+        black_box(features.matmul_tn(&delta));
+    });
 }
 
 fn bench_conv(threads: usize) {
@@ -230,6 +269,10 @@ fn bench_report(host_cores: usize) -> Json {
             "unit".to_string(),
             Json::Str("median ms per iteration".to_string()),
         ),
+        (
+            "matmul_isa".to_string(),
+            Json::Str(linalg::matmul_isa().to_string()),
+        ),
     ];
     if host_cores < 4 {
         root.push((
@@ -327,7 +370,10 @@ fn bench_telemetry_overhead() {
 
 fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("== kernel microbenchmarks (host logical cores: {host_cores}) ==");
+    println!(
+        "== kernel microbenchmarks (host logical cores: {host_cores}, matmul body: {}) ==",
+        linalg::matmul_isa()
+    );
     bench_matmul_references();
     for threads in [1usize, 4] {
         bench_matmul(threads);
@@ -335,6 +381,7 @@ fn main() {
         bench_reductions(threads);
         bench_gan_epoch(threads);
     }
+    bench_fit_cell_shapes();
     bench_transform();
     bench_telemetry_overhead();
     pool::set_threads(1);

@@ -136,11 +136,6 @@ impl CheckpointPlan {
         }
     }
 
-    /// True when a checkpoint path is configured.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
     /// Schedules the deterministic kill at `step`.
     pub fn kill_at(mut self, step: usize) -> Self {
         self.kill_at_step = Some(step);

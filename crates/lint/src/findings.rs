@@ -119,6 +119,14 @@ pub const RULES: &[RuleInfo] = &[
         file_scoped: false,
     },
     RuleInfo {
+        id: "H005",
+        severity: Severity::Error,
+        summary: "unsafe code only in the audited files (tensor pool.rs and linalg.rs, serve \
+                  shutdown.rs), each unsafe block or impl under a // SAFETY: comment and \
+                  each unsafe fn with a # Safety doc section",
+        file_scoped: false,
+    },
+    RuleInfo {
         id: "M001",
         severity: Severity::Error,
         summary: "metrics must be registered in telemetry::schema::METRICS with a fixed kind, \

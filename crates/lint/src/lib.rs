@@ -19,8 +19,9 @@
 //!   `Fields:` contract, and deterministic-plane events carry logical
 //!   time only.
 //! * **H-series (hygiene)**: crate-root `#![forbid(unsafe_code)]` +
-//!   `#![warn(missing_docs)]`, per-crate unwrap/expect budgets, and
-//!   dimension-carrying kernel panic messages.
+//!   `#![warn(missing_docs)]`, per-crate unwrap/expect budgets,
+//!   dimension-carrying kernel panic messages, and `unsafe` confined to
+//!   audited files with a justification at each use.
 //! * **Registry rules (M001/K001/W001)**: the whole tree checked
 //!   against the invariant registries — the metric registry
 //!   (`telemetry::schema::METRICS`), the environment-knob registry

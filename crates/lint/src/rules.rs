@@ -8,7 +8,7 @@
 //! * **S — schema**: telemetry emitters and the event vocabulary in
 //!   `telemetry::schema` must not drift apart.
 //! * **H — hygiene**: crate-root attributes, unwrap/expect budgets,
-//!   dimension-carrying kernel panics.
+//!   dimension-carrying kernel panics, audited `unsafe`.
 //!
 //! Every rule is lexical (token shapes over the [`crate::lexer`]
 //! stream), which buys zero dependencies at the price of known
@@ -49,6 +49,14 @@ const POOL_FILE: &str = "crates/tensor/src/pool.rs";
 const RNG_FILE: &str = "crates/tensor/src/rng.rs";
 /// Kernel files whose assertions must carry dimensions (H004).
 const KERNEL_FILES: &[&str] = &["crates/tensor/src/linalg.rs", "crates/tensor/src/conv.rs"];
+/// The audited files allowed to hold `unsafe` and `allow(unsafe_code)`
+/// (H005): the worker pool's job dispatch, the AVX2 matmul tile and the
+/// SIGTERM handler's FFI call.
+const UNSAFE_FILES: &[&str] = &[
+    "crates/serve/src/shutdown.rs",
+    "crates/tensor/src/linalg.rs",
+    "crates/tensor/src/pool.rs",
+];
 
 /// Map/set methods whose iteration order is hash-seed-dependent.
 const ITER_METHODS: &[&str] = &[
@@ -156,6 +164,9 @@ pub fn lint_files(files: &[SourceFile], ctx: &LintContext) -> LintReport {
         }
         if KERNEL_FILES.contains(&file.rel.as_str()) {
             check_h004_kernel_panics(file, lexed, *cut, &mut all);
+        }
+        if file.kind != FileKind::Test {
+            check_h005_unsafe(file, lexed, *cut, &mut all);
         }
     }
 
@@ -782,6 +793,133 @@ fn check_h004_kernel_panics(
             ));
         }
     }
+}
+
+// ----- H005: audited unsafe -----
+
+/// `unsafe` and `allow(unsafe_code)` may appear in non-test code only
+/// in [`UNSAFE_FILES`]. There, every `unsafe` block and `unsafe impl`
+/// needs a `// SAFETY:` comment in the comment lines directly above its
+/// line, and every `unsafe fn` a `# Safety` section in the doc comment
+/// above it (attribute lines may sit in between).
+///
+/// Blind spots: a justification inside a multi-line `/* */` comment is
+/// not seen, nor is a multi-line attribute between a doc comment and
+/// its `unsafe fn`; `unsafe` in other shapes (`unsafe trait`,
+/// `unsafe extern`) is only checked against the file list.
+fn check_h005_unsafe(file: &SourceFile, lexed: &Lexed, test_cut: u32, out: &mut Vec<Finding>) {
+    let toks = &lexed.toks;
+    let audited = UNSAFE_FILES.contains(&file.rel.as_str());
+    // First token of each line, and the text of each comment-only line.
+    let mut first_tok: BTreeMap<u32, usize> = BTreeMap::new();
+    for (i, t) in toks.iter().enumerate() {
+        first_tok.entry(t.line).or_insert(i);
+    }
+    let comment_lines: BTreeMap<u32, &str> = lexed
+        .comments
+        .iter()
+        .filter(|c| !first_tok.contains_key(&c.line))
+        .map(|c| (c.line, c.text.as_str()))
+        .collect();
+    let is_attr_line = |line: u32| {
+        first_tok.get(&line).is_some_and(|&i| {
+            toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
+        })
+    };
+    // Does the run of comment (and, for `unsafe fn`, attribute) lines
+    // directly above `line` contain `needle`?
+    let justified = |line: u32, needle: &str, skip_attrs: bool| {
+        let mut l = line.saturating_sub(1);
+        while l > 0 {
+            match comment_lines.get(&l) {
+                Some(text) if text.contains(needle) => return true,
+                Some(_) => {}
+                None if skip_attrs && is_attr_line(l) => {}
+                None => return false,
+            }
+            l -= 1;
+        }
+        false
+    };
+    let files = UNSAFE_FILES.join(", ");
+    for (i, t) in toks.iter().enumerate() {
+        if t.line >= test_cut {
+            break;
+        }
+        if t.is_ident("unsafe_code") && !audited && is_allow_arg(toks, i) {
+            out.push(Finding::new(
+                "H005",
+                &file.rel,
+                t.line,
+                format!("`allow(unsafe_code)` outside the audited files ({files})"),
+            ));
+            continue;
+        }
+        if !t.is_ident("unsafe") {
+            continue;
+        }
+        if !audited {
+            out.push(Finding::new(
+                "H005",
+                &file.rel,
+                t.line,
+                format!(
+                    "`unsafe` outside the audited files ({files}); keep it in one of them \
+                     behind a safe API"
+                ),
+            ));
+            continue;
+        }
+        let Some(next) = toks.get(i + 1) else {
+            continue;
+        };
+        if next.is_ident("fn") {
+            if !justified(t.line, "# Safety", true) {
+                out.push(Finding::new(
+                    "H005",
+                    &file.rel,
+                    t.line,
+                    "`unsafe fn` without a `# Safety` section in its doc comment; state what \
+                     callers must uphold"
+                        .to_string(),
+                ));
+            }
+        } else if (next.is_punct('{') || next.is_ident("impl"))
+            && !justified(t.line, "SAFETY:", false)
+        {
+            out.push(Finding::new(
+                "H005",
+                &file.rel,
+                t.line,
+                format!(
+                    "`unsafe {}` without a `// SAFETY:` comment directly above it; say why \
+                     it is sound",
+                    if next.is_ident("impl") {
+                        "impl"
+                    } else {
+                        "{ .. }"
+                    }
+                ),
+            ));
+        }
+    }
+}
+
+/// True when the identifier at `i` is an argument of an `allow` or
+/// `expect` lint attribute (`allow(a, unsafe_code)`).
+fn is_allow_arg(toks: &[Tok], i: usize) -> bool {
+    let mut j = i;
+    while j > 0 {
+        j -= 1;
+        let t = &toks[j];
+        if t.is_punct('(') {
+            return j > 0 && (toks[j - 1].is_ident("allow") || toks[j - 1].is_ident("expect"));
+        }
+        if !(t.kind == TokKind::Ident || t.is_punct(',')) {
+            return false;
+        }
+    }
+    false
 }
 
 // ----- M001: metric registry -----

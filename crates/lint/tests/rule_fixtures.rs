@@ -378,6 +378,88 @@ pub fn f(n: usize) {
     assert!(lint_one("crates/core/src/x.rs", FileKind::Src, elsewhere).is_empty());
 }
 
+// ----- H005: audited unsafe -----
+
+#[test]
+fn h005_flags_unsafe_outside_the_audited_files_and_unjustified_unsafe_inside() {
+    let outside = "
+#![allow(unsafe_code)]
+pub fn f(p: *const u8) -> u8 {
+    // SAFETY: the caller passes a valid pointer.
+    unsafe { *p }
+}
+";
+    let findings = lint_one("crates/core/src/x.rs", FileKind::Src, outside);
+    assert_eq!(rules_of(&findings), ["H005", "H005"]);
+    assert_eq!(findings[0].line, 2, "the allow(unsafe_code)");
+    assert_eq!(findings[1].line, 5, "the unsafe block, justified or not");
+    assert!(findings[1].message.contains("outside the audited files"));
+
+    let unjustified = "
+struct Ptr(*const u8);
+unsafe impl Send for Ptr {}
+
+/// Reads one byte.
+#[inline]
+unsafe fn read(p: *const u8) -> u8 {
+    *p
+}
+
+pub fn f(p: &u8) -> u8 {
+    // Reads it.
+    unsafe { read(p) }
+}
+";
+    let findings = lint_one("crates/tensor/src/linalg.rs", FileKind::Src, unjustified);
+    assert_eq!(rules_of(&findings), ["H005", "H005", "H005"]);
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [3, 7, 13], "the impl, the fn and the block");
+    assert!(findings[0].message.contains("SAFETY:"));
+    assert!(findings[1].message.contains("# Safety"));
+}
+
+#[test]
+fn h005_accepts_justified_unsafe_in_audited_files_and_skips_tests() {
+    let good = "
+#![allow(unsafe_code)]
+struct Ptr(*const u8);
+// SAFETY: the pointer is only read on the thread
+// that owns its referent.
+unsafe impl Send for Ptr {}
+
+/// Reads one byte.
+///
+/// # Safety
+/// `p` must be valid for reads.
+#[target_feature(enable = \"avx2\")]
+#[inline]
+unsafe fn read(p: *const u8) -> u8 {
+    *p
+}
+
+pub fn f(p: &u8) -> u8 {
+    // SAFETY: a reference is valid for reads.
+    unsafe { read(p) }
+}
+";
+    assert!(lint_one("crates/tensor/src/pool.rs", FileKind::Src, good).is_empty());
+    let test_only = "
+pub fn f() {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        let x = 1u8;
+        let _ = unsafe { *(&x as *const u8) };
+    }
+}
+";
+    assert!(lint_one("crates/core/src/x.rs", FileKind::Src, test_only).is_empty());
+    let integration = "#[test]\nfn t() { let _ = unsafe { std::mem::zeroed::<u8>() }; }\n";
+    assert!(lint_one("tests/x.rs", FileKind::Test, integration).is_empty());
+}
+
 // ----- Suppressions -----
 
 #[test]

@@ -23,13 +23,6 @@ pub trait Optimizer {
         }
     }
 
-    /// Current learning rate.
-    fn lr(&self) -> f32;
-
-    /// Changes the learning rate at runtime (used by the training
-    /// resilience layer to decay the step size after a rollback).
-    fn set_lr(&mut self, lr: f32);
-
     /// Snapshot of the optimizer's internal state (moment estimates,
     /// step counters) as plain tensors, so training can roll back to a
     /// previous point without momentum carrying the failure forward.
@@ -65,14 +58,6 @@ impl Optimizer for Sgd {
 
     fn params(&self) -> &[Param] {
         &self.params
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     fn state(&self) -> Vec<Tensor> {
@@ -152,14 +137,6 @@ impl Optimizer for Adam {
         &self.params
     }
 
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     fn state(&self) -> Vec<Tensor> {
         // [t] followed by first and second moments, in parameter order.
         let mut out = vec![Tensor::from_slice(&[self.t as f32])];
@@ -224,14 +201,6 @@ impl Optimizer for RmsProp {
 
     fn params(&self) -> &[Param] {
         &self.params
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
     }
 
     fn state(&self) -> Vec<Tensor> {
@@ -429,19 +398,6 @@ mod tests {
             let (rolled, reference) = run(make);
             assert_eq!(rolled.data(), reference.data());
         }
-    }
-
-    #[test]
-    fn set_lr_changes_step_size() {
-        let p = Param::new(Tensor::zeros(&[2]));
-        let mut opt = Sgd::new(vec![p], 1.0);
-        assert_eq!(opt.lr(), 1.0);
-        opt.set_lr(0.5);
-        assert_eq!(opt.lr(), 0.5);
-        opt.zero_grad();
-        opt.params()[0].var().sum().backward(); // grad = [1, 1]
-        opt.step();
-        assert_eq!(opt.params()[0].value().data(), &[-0.5, -0.5]);
     }
 
     #[test]

@@ -900,8 +900,7 @@ impl Server {
             // seeding, not by scheduling.
             // daisy-lint: allow(D003) -- connection threads; responses are reproducible by per-request seeding, not scheduling
             std::thread::spawn(move || {
-                let _guard = guard;
-                serve_tcp_connection(&active.model, conn, &cfg, &state, stream);
+                serve_tcp_connection(&active.model, conn, &cfg, &state, stream, guard);
             });
         }
     }
@@ -1019,21 +1018,24 @@ fn is_deadline(e: &ServeError) -> bool {
 }
 
 /// Runs the request loop on one TCP connection. Errors end the
-/// connection (the slot frees via the caller's guard), never the
-/// server.
+/// connection, never the server. The connection's slot is released
+/// before its socket closes, so a client that has read to EOF never
+/// sees its slot still held; `slot` is the last parameter, so an
+/// unwind drops it before `stream` too.
 fn serve_tcp_connection(
     model: &FittedSynthesizer,
     conn: u64,
     cfg: &ServeConfig,
     state: &ServeState,
     stream: TcpStream,
+    slot: SlotGuard,
 ) {
     let mut reader = &stream;
     let mut writer = &stream;
     if let Err(e) = serve_connection(model, conn, cfg, state, &mut reader, &mut writer) {
         if is_deadline(&e) {
             // A stalled peer hit the per-connection deadline: count the
-            // eviction — the slot frees right after this returns.
+            // eviction — the slot frees right after this.
             metrics::counter("serve.timeouts").add(1);
             eprintln!(
                 "connection {conn}: deadline of {} ms expired; connection evicted",
@@ -1044,6 +1046,7 @@ fn serve_tcp_connection(
             eprintln!("connection {conn}: {e}");
         }
     }
+    drop(slot);
 }
 
 /// Serves exactly one connection over stdin/stdout — the `daisy serve

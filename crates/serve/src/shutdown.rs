@@ -60,6 +60,9 @@ mod sys {
         /// Installs `handler` for `signum`. The only unsafe operation
         /// in the crate: a direct FFI call with no memory arguments.
         pub fn install(signum: i32, handler: extern "C" fn(i32)) {
+            // SAFETY: `signal` takes no pointers into Rust memory, and
+            // `handler` is a plain `extern "C"` fn whose one action, a
+            // relaxed atomic store, is async-signal-safe.
             unsafe {
                 signal(signum, handler);
             }

@@ -17,7 +17,8 @@
 //!   and [`Rng::fork`]-based stream splitting.
 //! - [`tensor`] — the [`Tensor`] type and constructors.
 //! - [`ops`] / [`linalg`] / [`conv`] — elementwise math, reductions,
-//!   matmul, convolution primitives.
+//!   matmul (a portable loop, and an AVX2 register tile picked at run
+//!   time with the same bits), convolution primitives.
 //! - [`autodiff`] — [`Var`]/[`Param`] computation graph with
 //!   backpropagation, and the [`no_grad`] scope for value-only
 //!   forwards.
@@ -35,9 +36,10 @@
 //! assert_eq!(w.grad().shape(), &[4, 2]);
 //! ```
 
-// `deny` (not `forbid`) so the worker pool alone can opt back in: its
-// scoped-task dispatch needs two audited unsafe blocks (see
-// `pool.rs`). Every other module is unsafe-free, machine-enforced.
+// `deny` (not `forbid`) so that two audited modules can opt back in:
+// the worker pool's scoped-task dispatch (`pool.rs`) and the AVX2
+// matmul tile behind one checked call site (`linalg.rs`). Every other
+// module is unsafe-free; lint rule H005 enforces both halves.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,25 +1,38 @@
 //! Matrix multiplication and transposition kernels.
 //!
-//! One multiply-accumulate loop, `matmul_rows`, serves all three matmul
-//! variants. It runs in i-k-j order — the output row and a row of `b`
-//! stream in the inner loop, which autovectorizes — tiles `k` for cache
-//! reuse, and is row-partitioned across the worker pool
-//! ([`crate::pool`]) above a size threshold. [`Tensor::matmul_nt`] and
-//! [`Tensor::matmul_tn`] first pack their transposed operand into
-//! row-major layout with [`Tensor::transpose`], then run that loop.
+//! One kernel, `matmul_rows`, serves all three matmul variants.
+//! [`Tensor::matmul_nt`] and [`Tensor::matmul_tn`] first pack their
+//! transposed operand into row-major layout with [`Tensor::transpose`],
+//! then run it. The kernel is row-partitioned across the worker pool
+//! ([`crate::pool`]) above a size threshold, and has two bodies:
 //!
-//! Every output element is computed entirely within one row block, with
-//! additions in ascending-`k` order — exactly the order of the serial
-//! reference loop — so results are bit-identical for any thread count
-//! and any block size. See the determinism contract in [`crate::pool`].
+//! - **Portable** (every target): i-k-j order — the output row and a row
+//!   of `b` stream in the inner loop, which autovectorizes — with `k`
+//!   tiled for cache reuse. It is the reference.
+//! - **AVX2** (x86_64 only): a 4-row × 16-column register tile, with an
+//!   8-wide micro-tile and scalar dot products for the column edges and
+//!   1–3-row tiles for the row edges. `gemm` picks it once per call when
+//!   the CPU runs AVX2 and the right operand is all-finite.
+//!
+//! Every output element is computed entirely within one row block, as
+//! one accumulator that starts at +0 and adds in ascending-`k` order with
+//! a separate multiply and add (the tile enables `avx2`, never `fma`). So
+//! both bodies make the same additions, and results are bit-identical
+//! for any thread count, any block size and either body: with or
+//! without AVX2 on the host. See the determinism contract in
+//! [`crate::pool`].
 //!
 //! **Zero-skip rule:** a zero in the left operand contributes nothing,
-//! even against an inf or NaN in the right one. Skipping zero `a`
-//! entries is a large win for the one-hot-encoded matrices the GAN
-//! transformations produce. The rule holds for all three variants (the
-//! left operand of `matmul_tn` is `selfᵀ`); for finite inputs it never
-//! changes a bit, and non-finite weights are caught by the training
-//! guard instead.
+//! even against an inf or NaN in the right one. The portable body skips
+//! zero `a` entries, a large win for the one-hot-encoded matrices the GAN
+//! transformations produce. The tile multiplies through them instead,
+//! which is bit-neutral against a finite right operand: a ±0 product
+//! leaves a non-zero accumulator unchanged, and leaves a +0 accumulator
+//! at +0, which can never become −0. A right operand holding inf or NaN
+//! therefore runs the portable body. The rule holds for all three
+//! variants (the left operand of `matmul_tn` is `selfᵀ`); for finite
+//! inputs it never changes a bit, and non-finite weights are caught by
+//! the training guard instead.
 
 use crate::pool;
 use crate::tensor::Tensor;
@@ -51,9 +64,10 @@ static MATMUL_NT_WORK: OnceLock<&'static daisy_telemetry::metrics::Histogram> = 
 /// with the untiled loop.
 const K_TILE: usize = 128;
 
-/// The i-k-j kernel for rows `r0..r0+rows` of the output, with `k`
-/// tiling and the zero-skip. Per element, additions happen in ascending
-/// `k` order regardless of tiling.
+/// The portable body: the i-k-j kernel for rows `r0..r0+rows` of the
+/// output, with `k` tiling and the zero-skip. Per element, additions
+/// happen in ascending `k` order regardless of tiling. It runs on every
+/// target and is the reference the AVX2 tile matches bit for bit.
 fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], r0: usize, k: usize, n: usize) {
     let rows = out.len() / n.max(1);
     for k0 in (0..k).step_by(K_TILE) {
@@ -75,23 +89,226 @@ fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], r0: usize, k: usize, n: us
 }
 
 /// Row-major `[m, k] x [k, n] -> [m, n]`: `matmul_rows` over row
-/// blocks of the output on the worker pool.
+/// blocks of the output on the worker pool. The body is picked once
+/// per call, and either gives the same bits (see the module docs).
 fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     let rpb = pool::rows_per_block(m, m * k * n);
+    #[cfg(target_arch = "x86_64")]
+    let tile = avx2::Avx2::detect().filter(|_| all_finite(b));
     pool::for_each_row_chunk(&mut out, n, rpb, |r0, chunk| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cpu) = tile {
+            return avx2::matmul_rows(cpu, a, b, chunk, r0, k, n);
+        }
         matmul_rows(a, b, chunk, r0, k, n);
     });
     Tensor::from_vec(out, &[m, n])
+}
+
+/// True when `b` holds no inf or NaN: the condition under which the
+/// tile's multiply through a zero of `a` is bit-neutral. One O(k·n)
+/// pass, branch-free within each chunk so that it vectorizes.
+#[cfg(target_arch = "x86_64")]
+fn all_finite(b: &[f32]) -> bool {
+    b.chunks(64)
+        .all(|c| c.iter().fold(true, |ok, v| ok & v.is_finite()))
+}
+
+/// The `matmul_rows` body this CPU runs for an all-finite right
+/// operand: `"avx2"` (the register tile) or `"portable"`. Both give the
+/// same bits; benchmarks record which one they timed.
+pub fn matmul_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::Avx2::detect().is_some() {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// The AVX2 body of `matmul_rows`: a 4-row × 16-column register tile.
+/// `gemm` runs it only on an all-finite right operand (module docs).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+
+    /// Proof that the running CPU executes AVX2; only
+    /// [`Avx2::detect`] makes one.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        pub(super) fn detect() -> Option<Avx2> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        }
+    }
+
+    /// `super::matmul_rows` on the register tile: the same arguments,
+    /// and the same bits whenever `b` is all-finite.
+    pub(super) fn matmul_rows(
+        _cpu: Avx2,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        r0: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let rows = out.len() / n.max(1);
+        assert!(
+            rows * n == out.len() && (r0 + rows) * k <= a.len() && k * n <= b.len(),
+            "matmul tile: out holds {} values for {rows}x{n}, a holds {} for rows \
+             {r0}..{} of width {k}, b holds {} for {k}x{n}",
+            out.len(),
+            a.len(),
+            r0 + rows,
+            b.len()
+        );
+        let p = Panels {
+            a: a[r0 * k..].as_ptr(),
+            b: b.as_ptr(),
+            out: out.as_mut_ptr(),
+            k,
+            n,
+        };
+        // SAFETY: `_cpu` proves the CPU runs AVX2, and the assert above
+        // bounds every offset `tile` touches: `rows` rows of width `k`
+        // from `a[r0 * k..]`, `k` rows of width `n` from `b`, and `rows`
+        // rows of width `n` in `out`.
+        unsafe { tile(p, rows) }
+    }
+
+    /// Row-major operand panels: `a` (width `k`) and `out` (width `n`)
+    /// start at the block's first row; `b` is `k` rows of width `n`.
+    #[derive(Clone, Copy)]
+    struct Panels {
+        a: *const f32,
+        b: *const f32,
+        out: *mut f32,
+        k: usize,
+        n: usize,
+    }
+
+    /// Column blocks of 16, then one of 8, then scalar dot products for
+    /// the remaining columns. A column block walks every row block, so
+    /// its `k × 16` panel of `b` stays in cache.
+    ///
+    /// # Safety
+    /// The CPU must run AVX2; `p.a` must be readable for `rows * p.k`
+    /// values, `p.b` for `p.k * p.n`, and `p.out` writable for
+    /// `rows * p.n`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile(p: Panels, rows: usize) {
+        let mut j = 0;
+        while j + 16 <= p.n {
+            column_block::<2>(p, rows, j);
+            j += 16;
+        }
+        if j + 8 <= p.n {
+            column_block::<1>(p, rows, j);
+            j += 8;
+        }
+        for jj in j..p.n {
+            let mut i = 0;
+            while i + 4 <= rows {
+                dot::<4>(p, i, jj);
+                i += 4;
+            }
+            for i in i..rows {
+                dot::<1>(p, i, jj);
+            }
+        }
+    }
+
+    /// Output column `jj` of rows `i..i + R`: one scalar dot product per
+    /// row, `R` independent accumulators from +0 in ascending `kk`.
+    ///
+    /// # Safety
+    /// As for [`tile`], with `i + R <= rows` and `jj < p.n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn dot<const R: usize>(p: Panels, i: usize, jj: usize) {
+        let mut acc = [0.0f32; R];
+        for kk in 0..p.k {
+            let b = *p.b.add(kk * p.n + jj);
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                *acc_r += *p.a.add((i + r) * p.k + kk) * b;
+            }
+        }
+        for (r, &v) in acc.iter().enumerate() {
+            *p.out.add((i + r) * p.n + jj) = v;
+        }
+    }
+
+    /// Columns `j..j + 8 * C` of every row: 4-row tiles, then one
+    /// 1–3-row tile for the rest.
+    ///
+    /// # Safety
+    /// As for [`tile`], with `j + 8 * C <= p.n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn column_block<const C: usize>(p: Panels, rows: usize, j: usize) {
+        let mut i = 0;
+        while i + 4 <= rows {
+            block::<4, C>(p, i, j);
+            i += 4;
+        }
+        match rows - i {
+            3 => block::<3, C>(p, i, j),
+            2 => block::<2, C>(p, i, j),
+            1 => block::<1, C>(p, i, j),
+            _ => {}
+        }
+    }
+
+    /// One `R × 8C` tile of the output at row `i`, column `j`: `R * C`
+    /// accumulators start at +0 and add `a[i + r][kk] * b[kk][..]` in
+    /// ascending `kk`, a separate multiply then add, then store once.
+    ///
+    /// # Safety
+    /// As for [`tile`], with `i + R <= rows` and `j + 8 * C <= p.n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn block<const R: usize, const C: usize>(p: Panels, i: usize, j: usize) {
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        let mut a_rows = [p.a; R];
+        for (r, a_row) in a_rows.iter_mut().enumerate() {
+            *a_row = p.a.add((i + r) * p.k);
+        }
+        for kk in 0..p.k {
+            let b_row = p.b.add(kk * p.n + j);
+            let mut bv: [__m256; C] = [_mm256_setzero_ps(); C];
+            for (c, v) in bv.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(b_row.add(8 * c));
+            }
+            for (acc_r, a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = _mm256_set1_ps(*a_row.add(kk));
+                for (acc_rc, &b_c) in acc_r.iter_mut().zip(&bv) {
+                    *acc_rc = _mm256_add_ps(*acc_rc, _mm256_mul_ps(av, b_c));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let out_row = p.out.add((i + r) * p.n + j);
+            for (c, &v) in acc_r.iter().enumerate() {
+                _mm256_storeu_ps(out_row.add(8 * c), v);
+            }
+        }
+    }
 }
 
 impl Tensor {
     /// Matrix product of `[M, K] x [K, N] -> [M, N]`.
     ///
     /// Runs on the worker pool above [`pool::PAR_MIN_WORK`]
-    /// multiply-adds; bit-identical to the serial loop at any thread
-    /// count. Zero entries of `self` are skipped, which makes one-hot
-    /// encoded inputs cheap.
+    /// multiply-adds, on the AVX2 tile where the CPU has it;
+    /// bit-identical to the serial portable loop at any thread count and
+    /// on any host. A zero entry of `self` contributes nothing, even
+    /// against inf or NaN in `other` (see the module docs).
     ///
     /// # Panics
     /// If either operand is not 2-D, or the inner dimensions differ
@@ -145,9 +362,9 @@ impl Tensor {
 
     /// `self^T x other`. Shapes: `[K, M]^T x [K, N] -> [M, N]`.
     ///
-    /// Packs `self^T` and runs the [`Tensor::matmul`] loop, so zero
-    /// entries of `self` are skipped and results are bit-identical at
-    /// any thread count.
+    /// Packs `self^T` and runs the [`Tensor::matmul`] kernel, so a zero
+    /// entry of `self` contributes nothing and results are
+    /// bit-identical at any thread count and on any host.
     ///
     /// # Panics
     /// If either operand is not 2-D, or the inner (shared `K`)
@@ -181,9 +398,9 @@ impl Tensor {
 
     /// `self x other^T`. Shapes: `[M, K] x [N, K]^T -> [M, N]`.
     ///
-    /// Packs `other^T` and runs the [`Tensor::matmul`] loop, so zero
-    /// entries of `self` are skipped and results are bit-identical at
-    /// any thread count.
+    /// Packs `other^T` and runs the [`Tensor::matmul`] kernel, so a
+    /// zero entry of `self` contributes nothing and results are
+    /// bit-identical at any thread count and on any host.
     ///
     /// # Panics
     /// If either operand is not 2-D, or the inner (shared `K`)
@@ -399,33 +616,70 @@ mod tests {
 
         // Above the parallel threshold, k > K_TILE: every third column
         // of A is zero and faces a row of B holding inf, -inf or NaN.
+        // 48×48×192 is the LSTM gate shape, which the AVX2 tile would
+        // take were the right operand finite.
         let mut rng = Rng::seed_from_u64(12);
-        let (m, k, n) = (40usize, 300usize, 30usize);
-        let mut a = Tensor::randn(&[m, k], &mut rng);
-        let mut b = Tensor::randn(&[k, n], &mut rng);
-        for kk in (0..k).step_by(3) {
-            for i in 0..m {
-                *a.at2_mut(i, kk) = if i % 2 == 0 { 0.0 } else { -0.0 };
+        for (m, k, n) in [(40usize, 300usize, 30usize), (48, 48, 192)] {
+            let mut a = Tensor::randn(&[m, k], &mut rng);
+            let mut b = Tensor::randn(&[k, n], &mut rng);
+            for kk in (0..k).step_by(3) {
+                for i in 0..m {
+                    *a.at2_mut(i, kk) = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                for j in 0..n {
+                    *b.at2_mut(kk, j) = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][(kk + j) % 3];
+                }
             }
-            for j in 0..n {
-                *b.at2_mut(kk, j) = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][(kk + j) % 3];
+            for threads in [1, 4] {
+                crate::pool::set_threads(threads);
+                let ctx = format!("m={m} k={k} n={n} threads={threads}");
+                let nn = a.matmul(&b);
+                assert!(nn.data().iter().all(|v| v.is_finite()), "{ctx}");
+                assert_eq!(bits(&a.matmul_nt(&b.transpose())), bits(&nn), "nt {ctx}");
+                assert_eq!(bits(&a.transpose().matmul_tn(&b)), bits(&nn), "tn {ctx}");
             }
-        }
-        for threads in [1, 4] {
-            crate::pool::set_threads(threads);
-            let nn = a.matmul(&b);
-            assert!(nn.data().iter().all(|v| v.is_finite()), "threads={threads}");
-            assert_eq!(
-                bits(&a.matmul_nt(&b.transpose())),
-                bits(&nn),
-                "nt threads={threads}"
-            );
-            assert_eq!(
-                bits(&a.transpose().matmul_tn(&b)),
-                bits(&nn),
-                "tn threads={threads}"
-            );
         }
         crate::pool::set_threads(4);
+    }
+
+    /// The AVX2 tile against the portable loop, both called directly
+    /// on one row block: every row edge (rows mod 4), every column edge
+    /// (16- and 8-wide blocks and the scalar tail), `k` on both sides of
+    /// `K_TILE`, a block that starts at row 3, and ±0 in `a`.
+    #[test]
+    fn avx2_body_matches_the_portable_loop_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let Some(cpu) = avx2::Avx2::detect() else {
+                eprintln!("skipped: this CPU does not run AVX2, so only the portable body exists");
+                return;
+            };
+            let mut rng = Rng::seed_from_u64(13);
+            let r0 = 3;
+            for rows in [4usize, 5, 6, 7] {
+                for n in [1usize, 2, 7, 8, 9, 15, 16, 17, 24, 30, 192] {
+                    for k in [1usize, 24, 129, 300] {
+                        let mut a = Tensor::randn(&[r0 + rows, k], &mut rng);
+                        for (idx, v) in a.data_mut().iter_mut().enumerate() {
+                            match idx % 7 {
+                                1 => *v = 0.0,
+                                4 => *v = -0.0,
+                                _ => {}
+                            }
+                        }
+                        let b = Tensor::randn(&[k, n], &mut rng);
+                        let mut want = vec![0.0f32; rows * n];
+                        let mut got = vec![0.0f32; rows * n];
+                        matmul_rows(a.data(), b.data(), &mut want, r0, k, n);
+                        avx2::matmul_rows(cpu, a.data(), b.data(), &mut got, r0, k, n);
+                        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "rows={rows} n={n} k={k} r0={r0}");
+                    }
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("skipped: the AVX2 body exists only on x86_64");
     }
 }
