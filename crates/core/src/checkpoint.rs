@@ -31,7 +31,7 @@
 
 use crate::config::{LossKind, SynthesizerConfig};
 use crate::guard::{RecoveryAction, RecoveryEvent, TrainOutcome, TripReason};
-use crate::train::{EpochStats, Kept, Rewound, TrainState, TrainingRun};
+use crate::train::{EpochStats, Kept, NetState, Rewound, TrainState, TrainingRun};
 use daisy_telemetry::{field, schema};
 use daisy_tensor::RngState;
 use daisy_wire::{crc64, sibling, ArmedIo, IoFault, IoFaultPlan, Reader, WireError, Writer};
@@ -166,8 +166,9 @@ impl CheckpointPlan {
 pub(crate) struct TrainCheckpoint<'a> {
     pub(crate) fingerprint: u64,
     pub(crate) state: Cow<'a, TrainState>,
-    /// Loss history and the per-epoch generator snapshots so far (model
-    /// selection needs all of them, not just the latest weights).
+    /// Loss history and the per-epoch generator snapshots so far, each
+    /// with its BatchNorm statistics (model selection needs all of them,
+    /// not just the latest weights).
     pub(crate) run: Cow<'a, TrainingRun>,
 }
 
@@ -319,10 +320,8 @@ impl TrainCheckpoint<'_> {
         w.section(&meta);
 
         let mut model = Writer::default();
-        model.tensors(&s.g_params);
-        model.tensors(&s.g_state);
-        model.tensors(&s.d_params);
-        model.tensors(&s.d_state);
+        s.g.encode(&mut model);
+        s.d.encode(&mut model);
         model.usize(s.d_rng.len());
         for r in &s.d_rng {
             write_rng(&mut model, r);
@@ -344,7 +343,7 @@ impl TrainCheckpoint<'_> {
         }
         hist.usize(run.snapshots.len());
         for snap in &run.snapshots {
-            hist.tensors(snap);
+            snap.encode(&mut hist);
         }
         w.section(&hist);
 
@@ -389,18 +388,15 @@ fn read_sections(r: &mut Reader) -> Result<TrainCheckpoint<'static>, WireError> 
     };
 
     let mut model = r.section()?;
-    let (g_params, g_state) = (model.tensors()?, model.tensors()?);
-    let (d_params, d_state) = (model.tensors()?, model.tensors()?);
+    let (g, d) = (NetState::decode(&mut model)?, NetState::decode(&mut model)?);
     let n_rng = model.len()?;
     let d_rng = (0..n_rng)
         .map(|_| read_rng(&mut model))
         .collect::<Result<_, _>>()?;
     let mut opt = r.section()?;
     let rewound = Rewound {
-        g_params,
-        g_state,
-        d_params,
-        d_state,
+        g,
+        d,
         d_rng,
         opt_g: opt.tensors()?,
         opt_d: opt.tensors()?,
@@ -424,7 +420,7 @@ fn read_sections(r: &mut Reader) -> Result<TrainCheckpoint<'static>, WireError> 
     let history = (0..n_hist).map(|_| epoch()).collect::<Result<_, _>>()?;
     let n_snap = hist.len()?;
     let snapshots = (0..n_snap)
-        .map(|_| hist.tensors())
+        .map(|_| NetState::decode(&mut hist))
         .collect::<Result<_, _>>()?;
     if !r.is_empty() {
         return Err("trailing bytes after final section".to_string());
@@ -558,11 +554,16 @@ mod tests {
     fn dummy(fingerprint: u64, t: usize) -> TrainCheckpoint<'static> {
         let mut rng = Rng::seed_from_u64(t as u64);
         let _ = rng.normal(); // populate the Box–Muller spare
+        let g = NetState {
+            params: vec![Tensor::from_slice(&[1.0, 2.0, 3.0])],
+            state: vec![Tensor::from_slice(&[0.0, 1.0])],
+        };
         let rewound = Rewound {
-            g_params: vec![Tensor::from_slice(&[1.0, 2.0, 3.0])],
-            g_state: vec![Tensor::from_slice(&[0.0, 1.0])],
-            d_params: vec![Tensor::from_slice(&[-1.0])],
-            d_state: Vec::new(),
+            g: g.clone(),
+            d: NetState {
+                params: vec![Tensor::from_slice(&[-1.0])],
+                state: Vec::new(),
+            },
             d_rng: vec![Rng::seed_from_u64(9).state()],
             opt_g: vec![Tensor::from_slice(&[0.5])],
             opt_d: vec![Tensor::from_slice(&[0.1, 0.2])],
@@ -600,7 +601,7 @@ mod tests {
                     g_loss: 0.6,
                     kl: 0.05,
                 }],
-                snapshots: vec![vec![Tensor::from_slice(&[1.0, 2.0, 3.0])]],
+                snapshots: vec![g],
             }),
         }
     }
@@ -619,10 +620,8 @@ mod tests {
         assert_eq!(ka.rng, kb.rng);
         assert_eq!(ka.fired, kb.fired);
         assert_eq!(ka.outcome, kb.outcome);
-        assert_eq!(ra.g_params, rb.g_params);
-        assert_eq!(ra.g_state, rb.g_state);
-        assert_eq!(ra.d_params, rb.d_params);
-        assert_eq!(ra.d_state, rb.d_state);
+        assert_eq!(ra.g, rb.g);
+        assert_eq!(ra.d, rb.d);
         assert_eq!(ra.d_rng, rb.d_rng);
         assert_eq!(ra.opt_g, rb.opt_g);
         assert_eq!(ra.opt_d, rb.opt_d);
@@ -671,6 +670,11 @@ mod tests {
             ));
         }
         assert!(TrainCheckpoint::from_bytes(b"DAISYSY1 not a checkpoint").is_err());
+        // Format 1 ring entries held generator parameters without their
+        // BatchNorm statistics; no reader for them is kept.
+        let mut format_1 = bytes;
+        format_1[..8].copy_from_slice(b"DAISYCK1");
+        assert!(TrainCheckpoint::from_bytes(&format_1).is_err());
     }
 
     #[test]

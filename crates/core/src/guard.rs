@@ -26,9 +26,10 @@
 //!    the simplified discriminator — needs a network rebuild and is
 //!    applied one level up by [`crate::Synthesizer::try_fit`].
 //! 4. **Degrade gracefully** — when the recovery budget is exhausted,
-//!    training returns the best healthy snapshot seen together with a
+//!    training rewinds to the last clean epoch boundary and stops
+//!    there, returning the epochs completed so far together with a
 //!    structured [`TrainOutcome`] report instead of panicking; only a
-//!    run with *no* healthy snapshot at all becomes a [`TrainError`].
+//!    run with *no* clean epoch at all becomes a [`TrainError`].
 
 use std::fmt;
 
@@ -59,7 +60,7 @@ pub struct GuardConfig {
     /// Quantization bins for the probe's duplicate fraction.
     pub collapse_bins: usize,
     /// Total recovery budget: rollbacks (including escalations) before
-    /// the run degrades to its best snapshot.
+    /// the run degrades, stopping at its last clean epoch boundary.
     pub max_recoveries: usize,
     /// Plain rollback retries before escalating to WTrain.
     pub rollback_retries: usize,
@@ -201,7 +202,8 @@ pub enum RecoveryAction {
         /// Cumulative learning-rate decay carried into WTrain.
         lr_scale: f32,
     },
-    /// Budget exhausted: training stopped at the best healthy snapshot.
+    /// Budget exhausted: training stopped at the last clean epoch
+    /// boundary.
     Degrade,
 }
 
@@ -214,7 +216,7 @@ impl fmt::Display for RecoveryAction {
             RecoveryAction::SwitchToWTrain { lr_scale } => {
                 write!(f, "rollback + switch to WTrain (lr x{lr_scale:.3})")
             }
-            RecoveryAction::Degrade => write!(f, "degrade to best snapshot"),
+            RecoveryAction::Degrade => write!(f, "degrade to the last clean epoch"),
         }
     }
 }
@@ -270,8 +272,8 @@ impl RecoveryEvent {
 pub struct TrainOutcome {
     /// Every trip and the action taken, in order.
     pub recoveries: Vec<RecoveryEvent>,
-    /// True when the recovery budget ran out and the run returned its
-    /// best healthy snapshot instead of completing all epochs.
+    /// True when the recovery budget ran out and the run stopped at its
+    /// last clean epoch boundary instead of completing all epochs.
     pub degraded: bool,
     /// Epochs whose snapshots survived (== requested epochs iff the run
     /// completed).

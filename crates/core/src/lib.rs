@@ -47,11 +47,12 @@ pub use generator::{CnnGenerator, Generator, LstmGenerator, MlpGenerator};
 pub use guard::{
     GuardConfig, RecoveryAction, RecoveryEvent, TrainError, TrainGuard, TrainOutcome, TripReason,
 };
-pub use model_selection::{default_candidates, random_search, HyperParams, SearchResult};
+pub use model_selection::{default_candidates, HyperParams};
 pub use persist::PersistError;
 pub use row_stream::RowStream;
 pub use sampler::{BatchSource, Minibatch, TrainingData};
 pub use synthesizer::{FittedSynthesizer, SampleCodec, Synthesizer, TableSynthesizer};
 pub use train::{
-    train_gan, train_gan_checkpointed, train_gan_resilient, EpochStats, ResilientRun, TrainingRun,
+    train_gan, train_gan_checkpointed, train_gan_resilient, EpochStats, NetState, ResilientRun,
+    TrainingRun,
 };

@@ -19,13 +19,12 @@ use crate::config::{
     DiscriminatorKind, DpConfig, LossKind, NetworkKind, SynthesizerConfig, TrainConfig,
 };
 use crate::synthesizer::{build_generator, FittedSynthesizer, SampleCodec};
-use crate::train::TrainingRun;
+use crate::train::{NetState, TrainingRun};
 use daisy_data::{
     AttrType, Attribute, AttributeCodec, CategoricalEncoding, Gmm1d, MatrixCellParam,
     MatrixCodec, NumericalNormalization, RecordCodec, Schema, TransformConfig,
 };
-use daisy_nn::restore;
-use daisy_tensor::{Param, Rng, Tensor};
+use daisy_tensor::Rng;
 use daisy_wire::{atomic_write, crc64, Reader, Writer};
 use std::path::Path;
 
@@ -56,8 +55,13 @@ fn write_schema(w: &mut Writer, schema: &Schema) {
     }
 }
 
+/// Reads a schema, refusing what the `Schema` constructors assert: no
+/// attributes, or a label that is not one of its categorical attributes.
 fn read_schema(r: &mut Reader) -> Result<Schema, PersistError> {
     let n = r.len()?;
+    if n == 0 {
+        return Err("schema has no attributes".to_string());
+    }
     let mut attrs = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.str()?;
@@ -70,6 +74,11 @@ fn read_schema(r: &mut Reader) -> Result<Schema, PersistError> {
     }
     if r.bool()? {
         let j = r.usize()?;
+        if attrs.get(j).is_none_or(|a| a.ty != AttrType::Categorical) {
+            return Err(format!(
+                "label {j} is not a categorical attribute of the schema"
+            ));
+        }
         Ok(Schema::with_label(attrs, j))
     } else {
         Ok(Schema::new(attrs))
@@ -130,9 +139,20 @@ fn read_attribute_codec(r: &mut Reader) -> Result<AttributeCodec, PersistError> 
             max: r.f64()?,
         },
         3 => {
-            let weights = r.f64s()?;
-            let means = r.f64s()?;
-            let stds = r.f64s()?;
+            let (weights, means, stds) = (r.f64s()?, r.f64s()?, r.f64s()?);
+            let k = means.len();
+            if k == 0 || weights.len() != k || stds.len() != k {
+                let (w, s) = (weights.len(), stds.len());
+                return Err(format!(
+                    "GMM arity mismatch: {w} weights, {k} means, {s} stds"
+                ));
+            }
+            // Also refuses NaN.
+            if !stds.iter().all(|&s| s > 0.0) {
+                return Err(format!(
+                    "GMM standard deviations {stds:?} are not all positive"
+                ));
+            }
             AttributeCodec::Gmm {
                 gmm: Gmm1d::from_parts(weights, means, stds),
             }
@@ -271,6 +291,67 @@ fn read_config(r: &mut Reader) -> Result<SynthesizerConfig, PersistError> {
     })
 }
 
+/// Checks a codec against its schema before its constructor asserts the
+/// arities and decoding trusts the rest: one category list and one codec
+/// per attribute, a categorical codec (`Some(k)`) with `k` categories on
+/// each categorical attribute, and a numerical codec (`None`) on each
+/// numerical one.
+fn check_codec(
+    schema: &Schema,
+    categories: &[Vec<String>],
+    ks: &[Option<usize>],
+) -> Result<(), PersistError> {
+    let (n, c) = (schema.n_attrs(), categories.len());
+    if c != n || ks.len() != n {
+        let k = ks.len();
+        return Err(format!(
+            "codec arity mismatch: {n} attributes, {c} category lists, {k} codecs"
+        ));
+    }
+    for (j, (a, &k)) in schema.attrs().iter().zip(ks).enumerate() {
+        if k != (a.ty == AttrType::Categorical).then_some(categories[j].len()) {
+            return Err(format!(
+                "attribute {:?} has a codec of the wrong kind or width",
+                a.name
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks what generation assumes of a conditional model: the label
+/// column, inserted into the decoded record at `label_col`, makes up the
+/// output schema and is categorical, and the label distribution has one
+/// non-negative weight per label category, with a positive sum.
+fn check_label(f: &FittedSynthesizer) -> Result<(), PersistError> {
+    let j = f
+        .label_col
+        .ok_or("conditional model without a label column")?;
+    let record = match &f.codec {
+        SampleCodec::Record(c) => c.schema(),
+        SampleCodec::Matrix(c) => c.schema(),
+    };
+    let mut types: Vec<AttrType> = record.attrs().iter().map(|a| a.ty).collect();
+    if j > types.len() {
+        return Err(format!("label column {j} lies outside the output schema"));
+    }
+    types.insert(j, AttrType::Categorical);
+    if !f.output_schema.attrs().iter().map(|a| a.ty).eq(types) {
+        return Err(format!("label column {j} does not fit the output schema"));
+    }
+    let (dist, c) = (&f.label_dist, f.label_categories.len());
+    if dist.len() != c {
+        return Err(format!(
+            "{} label weights for {c} label categories",
+            dist.len()
+        ));
+    }
+    if !(dist.iter().sum::<f64>() > 0.0 && dist.iter().all(|&w| w >= 0.0)) {
+        return Err(format!("label weights {dist:?} are not a distribution"));
+    }
+    Ok(())
+}
+
 /// Canonical byte encoding of a configuration — the basis of the
 /// checkpoint fingerprint ([`crate::checkpoint::config_fingerprint`]):
 /// two configurations match exactly iff their bytes match.
@@ -278,32 +359,6 @@ pub(crate) fn config_bytes(cfg: &SynthesizerConfig) -> Vec<u8> {
     let mut w = Writer::default();
     write_config(&mut w, cfg);
     w.buf
-}
-
-/// Checks that `got` has the tensor count and shapes (`want`) the
-/// architecture it is about to be restored into expects.
-pub(crate) fn check_shapes(
-    what: &str,
-    want: impl IntoIterator<Item = Vec<usize>>,
-    got: &[Tensor],
-) -> Result<(), String> {
-    let want: Vec<Vec<usize>> = want.into_iter().collect();
-    if want.len() != got.len() {
-        return Err(format!(
-            "{what} count mismatch: file has {}, architecture needs {}",
-            got.len(),
-            want.len()
-        ));
-    }
-    for (shape, t) in want.iter().zip(got) {
-        if shape != t.shape() {
-            return Err(format!(
-                "{what} shape mismatch: file {:?}, architecture {shape:?}",
-                t.shape()
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Appends the whole-file integrity footer: `DAISYCRC` + CRC-64 of
@@ -390,18 +445,8 @@ impl FittedSynthesizer {
             }
             None => w.bool(false),
         }
-        // The currently loaded generator parameters plus non-parameter
-        // state (batch-norm running statistics).
-        let params = self.generator.params();
-        w.usize(params.len());
-        for p in &params {
-            w.tensor(&p.value());
-        }
-        let state = self.generator.state();
-        w.usize(state.len());
-        for t in &state {
-            w.tensor(t);
-        }
+        // The loaded generator is the selected snapshot.
+        self.run.snapshots[self.selected_epoch].encode(&mut w);
         seal(w.buf)
     }
 
@@ -421,15 +466,24 @@ impl FittedSynthesizer {
                 let schema = read_schema(&mut r)?;
                 let categories = read_categories(&mut r)?;
                 let n = r.len()?;
-                let codecs: Result<Vec<AttributeCodec>, _> =
-                    (0..n).map(|_| read_attribute_codec(&mut r)).collect();
-                SampleCodec::Record(RecordCodec::from_parts(schema, categories, codecs?))
+                let codecs: Vec<AttributeCodec> = (0..n)
+                    .map(|_| read_attribute_codec(&mut r))
+                    .collect::<Result<_, _>>()?;
+                let ks: Vec<Option<usize>> = codecs
+                    .iter()
+                    .map(|c| match c {
+                        AttributeCodec::Ordinal { k } | AttributeCodec::OneHot { k } => Some(*k),
+                        AttributeCodec::SimpleNorm { .. } | AttributeCodec::Gmm { .. } => None,
+                    })
+                    .collect();
+                check_codec(&schema, &categories, &ks)?;
+                SampleCodec::Record(RecordCodec::from_parts(schema, categories, codecs))
             }
             1 => {
                 let schema = read_schema(&mut r)?;
                 let categories = read_categories(&mut r)?;
                 let n = r.len()?;
-                let cells: Result<Vec<MatrixCellParam>, _> = (0..n)
+                let cells: Vec<MatrixCellParam> = (0..n)
                     .map(|_| {
                         Ok(match r.u8()? {
                             0 => MatrixCellParam::Ordinal { k: r.usize()? },
@@ -440,8 +494,16 @@ impl FittedSynthesizer {
                             other => return Err(format!("unknown cell tag {other}")),
                         })
                     })
+                    .collect::<Result<_, PersistError>>()?;
+                let ks: Vec<Option<usize>> = cells
+                    .iter()
+                    .map(|c| match c {
+                        MatrixCellParam::Ordinal { k } => Some(*k),
+                        MatrixCellParam::Norm { .. } => None,
+                    })
                     .collect();
-                SampleCodec::Matrix(MatrixCodec::from_parts(schema, categories, cells?))
+                check_codec(&schema, &categories, &ks)?;
+                SampleCodec::Matrix(MatrixCodec::from_parts(schema, categories, cells))
             }
             other => return Err(format!("unknown codec tag {other}")),
         };
@@ -451,12 +513,7 @@ impl FittedSynthesizer {
         let label_categories = label_categories?;
         let label_dist = r.f64s()?;
         let label_col = if r.bool()? { Some(r.usize()?) } else { None };
-        let n_params = r.len()?;
-        let saved: Result<Vec<Tensor>, _> = (0..n_params).map(|_| r.tensor()).collect();
-        let saved = saved?;
-        let n_state = r.len()?;
-        let state: Result<Vec<Tensor>, _> = (0..n_state).map(|_| r.tensor()).collect();
-        let state = state?;
+        let net = NetState::decode(&mut r)?;
 
         // Rebuild the generator architecture, then overwrite its weights
         // and state — after checking every saved shape, because the
@@ -469,19 +526,13 @@ impl FittedSynthesizer {
         let mut rng = Rng::seed_from_u64(config.seed);
         let generator = build_generator(&config, &codec, cond_dim, &mut rng)?;
         let params = generator.params();
-        check_shapes("parameter", params.iter().map(Param::shape), &saved)?;
-        check_shapes(
-            "state",
-            generator.state().iter().map(|t| t.shape().to_vec()),
-            &state,
-        )?;
-        restore(&params, &saved);
-        generator.set_state(&state);
+        net.fits("generator", &params, &generator.state())?;
+        net.restore(&params, |s| generator.set_state(s));
         // A loaded model only generates: eval mode, set once here, so
         // generation never writes to a model other threads may share.
         generator.set_training(false);
 
-        Ok(FittedSynthesizer {
+        let fitted = FittedSynthesizer {
             codec,
             generator,
             config,
@@ -490,14 +541,18 @@ impl FittedSynthesizer {
             output_schema,
             label_categories,
             run: TrainingRun {
-                snapshots: vec![saved],
+                snapshots: vec![net],
                 history: Vec::new(),
             },
             selected_epoch: 0,
             // The file stores only the selected snapshot; the training
             // health report is not persisted.
             outcome: crate::guard::TrainOutcome::default(),
-        })
+        };
+        if fitted.config.train.conditional {
+            check_label(&fitted)?;
+        }
+        Ok(fitted)
     }
 
     /// Saves the synthesizer to a file via write-to-temp → fsync →
@@ -594,30 +649,216 @@ mod tests {
         assert!(FittedSynthesizer::from_bytes(&bytes).is_err());
     }
 
+    /// `bytes` with the last occurrence of `old` replaced by `new`, then
+    /// re-sealed: a CRC-valid edit, which anyone holding the file can make.
+    fn resealed(bytes: &[u8], old: &[u8], new: &[u8]) -> Vec<u8> {
+        let body = &bytes[..bytes.len() - FOOTER_MAGIC.len() - 8];
+        let at = body
+            .windows(old.len())
+            .rposition(|w| w == old)
+            .expect("the edited bytes occur in the file");
+        seal([&body[..at], new, &body[at + old.len()..]].concat())
+    }
+
+    fn encoded(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::default();
+        write(&mut w);
+        w.buf
+    }
+
     #[test]
-    fn resealed_model_with_a_misshapen_state_tensor_is_a_typed_error() {
-        // The CRC is no secret: anyone can edit a model and re-seal it.
-        // A BatchNorm running variance stored as [1, 16] instead of [16]
-        // must be refused before `set_state`, whose asserts would panic.
-        let table = tiny_table(120, 8);
-        let mut cfg = quick(NetworkKind::Mlp, false);
-        cfg.g_hidden = vec![16];
-        let fitted = Synthesizer::fit(&table, &cfg);
-        let state = fitted.generator.state();
+    fn resealed_malformed_models_are_typed_errors() {
+        // Each edit is CRC-valid but breaks what a constructor asserts or
+        // what generation assumes. The loader must refuse each one with an
+        // error naming it, never panic, and never load a model that would
+        // panic later, while generating.
+        let table = tiny_table(120, 9);
+        let fit = |network, conditional, transform| {
+            let mut cfg = quick(network, conditional);
+            cfg.transform = transform;
+            cfg.train.iterations = 4;
+            Synthesizer::fit(&table, &cfg)
+        };
+        let plain = fit(NetworkKind::Mlp, false, TransformConfig::sn_ht());
+        let gmm = fit(NetworkKind::Mlp, false, TransformConfig::gn_ht());
+        let cnn = fit(NetworkKind::Cnn, false, TransformConfig::sn_ht());
+        let cond = fit(NetworkKind::Mlp, true, TransformConfig::sn_ht());
+        let SampleCodec::Record(codec) = &plain.codec else {
+            panic!("an MLP model has a record codec")
+        };
+        let SampleCodec::Record(gmm_codec) = &gmm.codec else {
+            panic!("an MLP model has a record codec")
+        };
+        let AttributeCodec::Gmm { gmm: mixture } = &gmm_codec.codecs()[0] else {
+            panic!("gn encodes the numerical attribute with a GMM")
+        };
+        let SampleCodec::Matrix(matrix) = &cnn.codec else {
+            panic!("a CNN model has a matrix codec")
+        };
+        let state = plain.generator.state();
         let var = state.last().expect("the MLP generator has BatchNorm state");
-        assert_eq!(var.shape(), &[16]);
-        let bytes = fitted.to_bytes();
-        let mut last = Writer::default();
-        last.tensor(var);
-        let body = bytes.len() - FOOTER_MAGIC.len() - 8 - last.buf.len();
-        let mut w = Writer {
-            buf: bytes[..body].to_vec(),
+        assert_eq!(var.shape(), &[24]);
+
+        // The output schema [x: num, c: cat, y: cat] with label y.
+        let schema = encoded(|w| write_schema(w, &plain.output_schema));
+        let label_at = |j: usize| [&schema[..schema.len() - 8], &(j as u64).to_le_bytes()].concat();
+        let codecs = codec.codecs();
+        let codec_list = |n: usize| {
+            encoded(|w| {
+                w.usize(n);
+                codecs[..n].iter().for_each(|c| write_attribute_codec(w, c));
+            })
         };
-        w.tensor(&var.reshape(&[1, 16]));
-        let Err(err) = FittedSynthesizer::from_bytes(&seal(w.buf)) else {
-            panic!("a misshapen state tensor was accepted");
+        let categories = encoded(|w| write_categories(w, codec.categories()));
+        let mut fewer_c = codec.categories().to_vec();
+        fewer_c[1].pop();
+        let matrix_categories = encoded(|w| write_categories(w, matrix.categories()));
+        // A conditional model ends with its label categories, weights and
+        // column: y's two categories, two weights, column 2.
+        assert_eq!(cond.label_col, Some(2));
+        let label_names = |n: usize| {
+            encoded(|w| {
+                w.usize(n);
+                cond.label_categories[..n].iter().for_each(|c| w.str(c));
+            })
         };
-        assert!(err.contains("state shape mismatch"), "{err}");
+        let weights = |dist: &[f64]| encoded(|w| w.f64s(dist));
+        let label_col = |j: usize| {
+            encoded(|w| {
+                w.f64s(&cond.label_dist);
+                w.bool(true);
+                w.usize(j);
+            })
+        };
+
+        let (bytes, gmm_bytes) = (plain.to_bytes(), gmm.to_bytes());
+        let (cnn_bytes, cond_bytes) = (cnn.to_bytes(), cond.to_bytes());
+        let stds = mixture.stds();
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                // `set_state`'s asserts would panic on it.
+                "a BatchNorm running variance of shape [1, 24]",
+                resealed(
+                    &bytes,
+                    &encoded(|w| w.tensor(var)),
+                    &encoded(|w| w.tensor(&var.reshape(&[1, 24]))),
+                ),
+                "generator state shape mismatch",
+            ),
+            (
+                "a schema with no attributes",
+                resealed(
+                    &bytes,
+                    &schema,
+                    &encoded(|w| {
+                        w.usize(0);
+                        w.bool(false);
+                    }),
+                ),
+                "schema has no attributes",
+            ),
+            (
+                "a label index past the schema",
+                resealed(&bytes, &schema, &label_at(3)),
+                "label 3 is not a categorical attribute",
+            ),
+            (
+                "a numerical label",
+                resealed(&bytes, &schema, &label_at(0)),
+                "label 0 is not a categorical attribute",
+            ),
+            (
+                "one codec fewer than attributes",
+                resealed(&bytes, &codec_list(3), &codec_list(2)),
+                "codec arity mismatch: 3 attributes, 3 category lists, 2 codecs",
+            ),
+            (
+                "one category list fewer than attributes",
+                resealed(
+                    &bytes,
+                    &categories,
+                    &encoded(|w| write_categories(w, &codec.categories()[..2])),
+                ),
+                "codec arity mismatch: 3 attributes, 2 category lists, 3 codecs",
+            ),
+            (
+                "a categorical codec on the numerical attribute",
+                resealed(
+                    &bytes,
+                    &encoded(|w| write_attribute_codec(w, &codecs[0])),
+                    &encoded(|w| write_attribute_codec(w, &AttributeCodec::Ordinal { k: 0 })),
+                ),
+                "attribute \"x\" has a codec of the wrong kind or width",
+            ),
+            (
+                "a one-hot codec wider than its categories",
+                resealed(
+                    &bytes,
+                    &categories,
+                    &encoded(|w| write_categories(w, &fewer_c)),
+                ),
+                "attribute \"c\" has a codec of the wrong kind or width",
+            ),
+            (
+                "a GMM standard deviation of 0",
+                resealed(
+                    &gmm_bytes,
+                    &weights(stds),
+                    &weights(&[&[0.0], &stds[1..]].concat()),
+                ),
+                "are not all positive",
+            ),
+            (
+                "a GMM weight fewer than components",
+                resealed(
+                    &gmm_bytes,
+                    &weights(mixture.weights()),
+                    &weights(&mixture.weights()[1..]),
+                ),
+                "GMM arity mismatch",
+            ),
+            (
+                "one matrix category list fewer than attributes",
+                resealed(
+                    &cnn_bytes,
+                    &matrix_categories,
+                    &encoded(|w| write_categories(w, &matrix.categories()[1..])),
+                ),
+                "codec arity mismatch: 3 attributes, 2 category lists, 3 codecs",
+            ),
+            (
+                "a label column past the output schema",
+                resealed(&cond_bytes, &label_col(2), &label_col(9)),
+                "label column 9 lies outside the output schema",
+            ),
+            (
+                "a label column on a numerical attribute",
+                resealed(&cond_bytes, &label_col(2), &label_col(0)),
+                "label column 0 does not fit the output schema",
+            ),
+            (
+                "one label category fewer than label weights",
+                resealed(&cond_bytes, &label_names(2), &label_names(1)),
+                "2 label weights for 1 label categories",
+            ),
+            (
+                "a negative label weight",
+                resealed(
+                    &cond_bytes,
+                    &weights(&cond.label_dist),
+                    &weights(&[-0.5, 1.5]),
+                ),
+                "are not a distribution",
+            ),
+        ];
+        for (what, bytes, expected) in cases {
+            match FittedSynthesizer::from_bytes(&bytes) {
+                Err(err) => assert!(err.contains(expected), "{what}: {err}"),
+                Ok(_) => panic!("{what}: the malformed model was loaded"),
+            }
+        }
+        // The edits themselves are sound: an identity edit still loads.
+        assert!(FittedSynthesizer::from_bytes(&resealed(&bytes, &schema, &schema)).is_ok());
     }
 
     #[test]

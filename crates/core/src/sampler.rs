@@ -481,6 +481,7 @@ mod tests {
             run.snapshots
                 .last()
                 .unwrap()
+                .params
                 .iter()
                 .flat_map(|t| t.data().to_vec())
                 .collect::<Vec<f32>>()

@@ -12,7 +12,6 @@ use crate::output_head::softmax_spans;
 use crate::sampler::{BatchSource, TrainingData};
 use crate::train::{train_gan_checkpointed, EpochStats, TrainingRun};
 use daisy_data::{Column, MatrixCodec, OutputBlock, RecordCodec, Schema, Table};
-use daisy_nn::restore;
 use daisy_telemetry::{field, schema};
 use daisy_tensor::{Rng, Tensor};
 
@@ -201,16 +200,18 @@ impl FittedSynthesizer {
     }
 
     /// The resilience layer's report on the training run: recovery
-    /// trace, escalations taken, and whether the run degraded to its
-    /// best snapshot instead of completing.
+    /// trace, escalations taken, and whether the run degraded, stopping
+    /// at its last clean epoch boundary instead of completing.
     pub fn outcome(&self) -> &TrainOutcome {
         &self.outcome
     }
 
-    /// Loads the generator parameters of the given epoch snapshot.
+    /// Loads the generator as it stood at the end of the given epoch:
+    /// its parameters and its BatchNorm statistics.
     pub fn load_snapshot(&mut self, epoch: usize) {
         assert!(epoch < self.run.snapshots.len(), "no such snapshot");
-        restore(&self.generator.params(), &self.run.snapshots[epoch]);
+        let g = &self.generator;
+        self.run.snapshots[epoch].restore(&g.params(), |s| g.set_state(s));
         self.selected_epoch = epoch;
     }
 
@@ -677,6 +678,31 @@ mod tests {
             }
         });
         assert_eq!(fitted.selected_epoch(), 1);
+    }
+
+    #[test]
+    fn an_epoch_snapshot_is_the_generator_as_it_stood_at_that_epoch() {
+        // Epoch 0 of a 3-epoch fit (4 of 12 iterations) must be the
+        // 1-epoch fit of 4 iterations: the same weights, the same
+        // BatchNorm statistics, and so the same rows.
+        let table = tiny_table(300, 30);
+        let three = quick_config(NetworkKind::Mlp);
+        assert!(three.g_batchnorm && (three.train.iterations, three.train.epochs) == (12, 3));
+        let mut one = three.clone();
+        (one.train.iterations, one.train.epochs) = (4, 1);
+        let mut fitted = Synthesizer::fit(&table, &three);
+        fitted.load_snapshot(0);
+        let reference = Synthesizer::fit(&table, &one);
+        let net = |f: &FittedSynthesizer| {
+            let g = &f.generator;
+            crate::train::NetState::capture(&g.params(), g.state())
+        };
+        let (epoch0, one_epoch) = (net(&fitted), net(&reference));
+        assert_eq!(epoch0.params, one_epoch.params, "weights");
+        assert!(!epoch0.state.is_empty());
+        assert_eq!(epoch0.state, one_epoch.state, "BatchNorm statistics");
+        let rows = |f: &FittedSynthesizer| f.generate(64, &mut Rng::seed_from_u64(31));
+        assert_eq!(rows(&fitted), rows(&reference), "generated rows");
     }
 
     #[test]

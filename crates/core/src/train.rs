@@ -19,7 +19,9 @@
 //!
 //! One value, `TrainState`, holds the training state at initialization
 //! and at each clean epoch boundary. Rollback and degrade rewind to it,
-//! a checkpoint saves it, and resume restores it.
+//! a checkpoint saves it, and resume restores it. Each network in it is
+//! a [`NetState`], the same value as each epoch snapshot and as the
+//! generator a model file stores.
 //!
 //! Every D and G step runs its matmuls, convolutions and reductions on
 //! daisy-tensor's worker pool (`daisy_tensor::pool`, sized by
@@ -36,15 +38,15 @@ use crate::generator::Generator;
 use crate::guard::{
     GuardConfig, RecoveryAction, RecoveryEvent, TrainError, TrainGuard, TrainOutcome, TripReason,
 };
-use crate::persist::check_shapes;
 use crate::sampler::{BatchSource, Minibatch};
 use daisy_nn::loss::{batch_distribution, empirical_distribution, kl_divergence};
 use daisy_nn::{
-    add_grad_noise, clip_grad_norm, clip_weights, grad_norm, params_non_finite, restore, snapshot,
-    zero_grads, Adam, Optimizer, RmsProp,
+    add_grad_noise, clip_grad_norm, clip_weights, grad_norm, params_non_finite, zero_grads, Adam,
+    Optimizer, RmsProp,
 };
 use daisy_telemetry::{field, schema};
 use daisy_tensor::{no_grad, Param, Rng, RngState, Tensor, Var};
+use daisy_wire::{Reader, WireError, Writer};
 use std::borrow::Cow;
 
 /// Aggregate losses of one training epoch.
@@ -64,10 +66,82 @@ pub struct EpochStats {
 /// validation-based model selection, §6.2) and loss history.
 #[derive(Clone, Default)]
 pub struct TrainingRun {
-    /// Generator parameter snapshots, one per epoch.
-    pub snapshots: Vec<Vec<Tensor>>,
+    /// The generator as it stood at the end of each epoch.
+    pub snapshots: Vec<NetState>,
     /// Loss history, one entry per epoch.
     pub history: Vec<EpochStats>,
+}
+
+/// A network's parameter values plus its module state (BatchNorm
+/// running statistics), each in the network's stable order: what an
+/// epoch snapshot, a rollback target, a checkpoint and a model file hold
+/// of a network. Eval-mode generation reads both.
+#[derive(Clone, Debug, PartialEq)]
+pub struct NetState {
+    /// Parameter values, in `params()` order.
+    pub params: Vec<Tensor>,
+    /// Module state, in `state()` order.
+    pub state: Vec<Tensor>,
+}
+
+impl NetState {
+    /// Captures the values of a network's `params` and its module `state`.
+    pub fn capture(params: &[Param], state: Vec<Tensor>) -> NetState {
+        let params = params.iter().map(Param::value).collect();
+        NetState { params, state }
+    }
+
+    /// Writes the parameter values into `params` and hands the module
+    /// state to `set_state`. Counts and shapes are asserted, so a value
+    /// read from a file passes [`NetState::fits`] first.
+    pub fn restore(&self, params: &[Param], set_state: impl FnOnce(&[Tensor])) {
+        assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
+        for (p, t) in params.iter().zip(&self.params) {
+            p.set_value(t.clone());
+        }
+        set_state(&self.state);
+    }
+
+    /// Checks that this value has the tensor counts and shapes of the
+    /// network whose live `params` and module `state` are given.
+    pub fn fits(&self, what: &str, params: &[Param], state: &[Tensor]) -> Result<(), String> {
+        let shapes = params.iter().map(Param::shape).collect();
+        check_shapes(&format!("{what} parameter"), shapes, &self.params)?;
+        let shapes = state.iter().map(|t| t.shape().to_vec()).collect();
+        check_shapes(&format!("{what} state"), shapes, &self.state)
+    }
+
+    /// Appends the parameter list, then the state list.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.tensors(&self.params);
+        w.tensors(&self.state);
+    }
+
+    /// Reads a value [`NetState::encode`] wrote.
+    pub(crate) fn decode(r: &mut Reader) -> Result<NetState, WireError> {
+        let (params, state) = (r.tensors()?, r.tensors()?);
+        Ok(NetState { params, state })
+    }
+}
+
+/// Checks that `got` has the tensor count and shapes (`want`) the
+/// architecture it is about to be restored into expects.
+fn check_shapes(what: &str, want: Vec<Vec<usize>>, got: &[Tensor]) -> Result<(), String> {
+    if want.len() != got.len() {
+        let (file, arch) = (got.len(), want.len());
+        return Err(format!(
+            "{what} count mismatch: file has {file}, architecture needs {arch}"
+        ));
+    }
+    for (shape, t) in want.iter().zip(got) {
+        if shape != t.shape() {
+            let file = t.shape();
+            return Err(format!(
+                "{what} shape mismatch: file {file:?}, architecture {shape:?}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// A training run plus the resilience layer's health report.
@@ -93,11 +167,8 @@ pub(crate) struct TrainState {
 /// The part of a [`TrainState`] that rollback and degrade rewind.
 #[derive(Clone)]
 pub(crate) struct Rewound {
-    pub(crate) g_params: Vec<Tensor>,
-    /// Generator module state (BatchNorm running statistics).
-    pub(crate) g_state: Vec<Tensor>,
-    pub(crate) d_params: Vec<Tensor>,
-    pub(crate) d_state: Vec<Tensor>,
+    pub(crate) g: NetState,
+    pub(crate) d: NetState,
     /// Discriminator dropout streams.
     pub(crate) d_rng: Vec<RngState>,
     /// Optimizer moments of the loss family `Kept::loss` names. A rewind
@@ -137,10 +208,8 @@ impl TrainState {
     fn capture(tr: &Trainer<'_>) -> TrainState {
         TrainState {
             rewound: Rewound {
-                g_params: snapshot(&tr.g.params()),
-                g_state: tr.g.state(),
-                d_params: snapshot(&tr.d.params()),
-                d_state: tr.d.state(),
+                g: NetState::capture(&tr.g.params(), tr.g.state()),
+                d: NetState::capture(&tr.d.params(), tr.d.state()),
                 d_rng: tr.d.rng_states(),
                 opt_g: tr.opt_g.state(),
                 opt_d: tr.opt_d.state(),
@@ -165,10 +234,8 @@ impl TrainState {
     /// moments only when those belong to the same loss family.
     fn rewind(&self, tr: &mut Trainer<'_>) {
         let r = &self.rewound;
-        restore(&tr.g.params(), &r.g_params);
-        tr.g.set_state(&r.g_state);
-        restore(&tr.d.params(), &r.d_params);
-        tr.d.set_state(&r.d_state);
+        r.g.restore(&tr.g.params(), |s| tr.g.set_state(s));
+        r.d.restore(&tr.d.params(), |s| tr.d.set_state(s));
         tr.d.set_rng_states(&r.d_rng);
         (tr.opt_g, tr.opt_d) = build_optimizers(
             tr.cfg.loss,
@@ -275,24 +342,18 @@ fn checkpoint_fits(
             s.t
         ));
     }
-    let shapes = |ts: Vec<Tensor>| ts.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>();
-    let g_params: Vec<Vec<usize>> = g.params().iter().map(Param::shape).collect();
+    let (g_params, g_state) = (g.params(), g.state());
+    s.g.fits("generator", &g_params, &g_state)?;
+    s.d.fits("discriminator", &d.params(), &d.state())?;
+    for (e, snap) in run.snapshots.iter().enumerate() {
+        snap.fits(&format!("epoch {e} generator"), &g_params, &g_state)?;
+    }
     // Optimizer state layout depends on the loss family the checkpoint
     // trained under (a WTrain escalation switches Adam to RMSProp).
     let (opt_g, opt_d) = build_optimizers(c.state.kept.loss, g, d, 0.0, 0.0);
-    check_shapes("generator parameter", g_params.clone(), &s.g_params)?;
-    check_shapes("generator state", shapes(g.state()), &s.g_state)?;
-    check_shapes(
-        "discriminator parameter",
-        d.params().iter().map(Param::shape),
-        &s.d_params,
-    )?;
-    check_shapes("discriminator state", shapes(d.state()), &s.d_state)?;
+    let shapes = |ts: Vec<Tensor>| ts.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>();
     check_shapes("generator optimizer", shapes(opt_g.state()), &s.opt_g)?;
     check_shapes("discriminator optimizer", shapes(opt_d.state()), &s.opt_d)?;
-    for snap in &run.snapshots {
-        check_shapes("snapshot", g_params.clone(), snap)?;
-    }
     if s.d_rng.len() != d.rng_states().len() {
         return Err(format!(
             "discriminator rng count mismatch: file has {}, architecture needs {}",
@@ -326,14 +387,15 @@ fn collapse_probe(
 }
 
 /// Trains `g` against `d` under the resilience layer: per-step health
-/// checks ([`TrainGuard`]), snapshot rollback with learning-rate decay
-/// and noise re-seeding on a trip, escalation to WTrain after repeated
-/// rollbacks, and graceful degradation to the best healthy snapshot
-/// when the recovery budget runs out. `plan` injects deterministic
-/// faults for testing (pass [`FaultPlan::none`] in production).
+/// checks ([`TrainGuard`]), rollback to the last clean epoch boundary
+/// with learning-rate decay and noise re-seeding on a trip, escalation
+/// to WTrain after repeated rollbacks, and graceful degradation when the
+/// recovery budget runs out: the run stops at its last clean epoch
+/// boundary. `plan` injects deterministic faults for testing (pass
+/// [`FaultPlan::none`] in production).
 ///
 /// Returns [`TrainError::Unrecoverable`] only when the budget is
-/// exhausted before a single healthy epoch exists.
+/// exhausted before a single clean epoch exists.
 #[allow(clippy::too_many_arguments)]
 pub fn train_gan_resilient(
     g: &dyn Generator,
@@ -707,7 +769,8 @@ impl Trainer<'_> {
     }
 
     /// Closes the epoch that ended at step `self.t - 1`: records its mean
-    /// losses and the generator snapshot that model selection chooses from.
+    /// losses and the generator snapshot (parameters and BatchNorm
+    /// statistics) that model selection chooses from.
     fn close_epoch(&mut self) {
         let step = self.t - 1;
         let n = self.losses.len().max(1) as f64;
@@ -721,7 +784,8 @@ impl Trainer<'_> {
         self.losses.clear();
         let g_params = self.g.params();
         self.run.history.push(stats);
-        self.run.snapshots.push(snapshot(&g_params));
+        let snapshot = NetState::capture(&g_params, self.g.state());
+        self.run.snapshots.push(snapshot);
         if daisy_telemetry::enabled() {
             // Gradient norms are read-only probes of the last step's
             // grads; the values are deterministic (pool contract) so
@@ -1031,13 +1095,14 @@ mod tests {
             ..TrainConfig::vtrain(10)
         };
         let (g, d, data, spans) = setup(&cfg, 8);
-        let before = daisy_nn::snapshot(&g.params());
+        let before = NetState::capture(&g.params(), g.state());
         let mut rng = Rng::seed_from_u64(9);
         let _ = train_gan(&g, &d, &data, &spans, &cfg, &mut rng).unwrap();
-        let after = daisy_nn::snapshot(&g.params());
+        let after = NetState::capture(&g.params(), g.state());
         let moved = before
+            .params
             .iter()
-            .zip(&after)
+            .zip(&after.params)
             .any(|(a, b)| a.sub(b).norm() > 1e-6);
         assert!(moved, "generator parameters did not move");
     }
@@ -1085,7 +1150,7 @@ mod tests {
             let (g, d, data, spans) = setup(&cfg, 10);
             let mut rng = Rng::seed_from_u64(11);
             let run = train_gan(&g, &d, &data, &spans, &cfg, &mut rng).unwrap();
-            run.snapshots[0][0].data().to_vec()
+            run.snapshots[0].params[0].data().to_vec()
         };
         assert_eq!(run_once(), run_once());
     }
@@ -1407,7 +1472,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-            let final_weights = res.run.snapshots.last().unwrap()[0].data().to_vec();
+            let final_weights = res.run.snapshots.last().unwrap().params[0].data().to_vec();
             (res.outcome, final_weights)
         };
         let (a_outcome, a_weights) = run_once();
@@ -1452,14 +1517,22 @@ mod tests {
         use crate::checkpoint::scratch_path;
         use crate::synthesizer::Synthesizer;
         type Edit = fn(&mut TrainCheckpoint);
-        let edits: [(&str, Edit); 5] = [
+        let edits: [(&str, Edit); 6] = [
             // Restoring a BatchNorm running variance of shape [1, 16]
             // instead of [16] would panic in `set_state`.
             ("misshapen module state", |c| {
-                let g_state = &mut c.state.to_mut().rewound.g_state;
+                let g_state = &mut c.state.to_mut().rewound.g.state;
                 let var = g_state.pop().expect("the MLP generator has BatchNorm state");
                 assert_eq!(var.shape(), &[16]);
                 g_state.push(var.reshape(&[1, 16]));
+            }),
+            // The same in an epoch snapshot: selecting it would panic in
+            // `set_state`.
+            ("misshapen snapshot state", |c| {
+                let snap_state = &mut c.run.to_mut().snapshots[0].state;
+                let var = snap_state.pop().expect("the snapshot has BatchNorm state");
+                assert_eq!(var.shape(), &[16]);
+                snap_state.push(var.reshape(&[1, 16]));
             }),
             // Counters past the last step with nothing recorded: resume
             // would skip the loop and return no snapshot at all.
@@ -1566,11 +1639,10 @@ mod tests {
         let ckpt = TrainCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         let last = &ckpt.state.rewound;
         assert_eq!((last.t, last.epochs_done), (4, 1));
-        assert!(!last.g_state.is_empty() && !last.d_rng.is_empty());
-        assert_eq!(snapshot(&g.params()), last.g_params);
-        assert_eq!(g.state(), last.g_state, "generator BatchNorm statistics");
-        assert_eq!(snapshot(&d.params()), last.d_params);
-        assert_eq!(d.state(), last.d_state);
+        assert!(!last.g.state.is_empty() && !last.d_rng.is_empty());
+        let g_now = NetState::capture(&g.params(), g.state());
+        assert_eq!(g_now, last.g, "generator weights and BatchNorm statistics");
+        assert_eq!(NetState::capture(&d.params(), d.state()), last.d);
         assert_eq!(d.rng_states(), last.d_rng, "discriminator dropout streams");
         for ext in ["prev", "tmp"] {
             let _ = std::fs::remove_file(daisy_wire::sibling(&path, ext));

@@ -41,7 +41,7 @@ pub use dropout::Dropout;
 pub use linear::Linear;
 pub use lstm::{LstmCell, LstmState};
 pub use module::{
-    grad_norm, grads_non_finite, num_params, params_bytes, params_non_finite, restore, snapshot,
-    zero_grads, Module, Sequential,
+    grad_norm, grads_non_finite, num_params, params_bytes, params_non_finite, zero_grads, Module,
+    Sequential,
 };
 pub use optim::{add_grad_noise, clip_grad_norm, clip_weights, Adam, Optimizer, RmsProp, Sgd};

@@ -1,6 +1,6 @@
 //! The [`Module`] abstraction shared by all layers and networks.
 
-use daisy_tensor::{Param, RngState, Tensor, Var};
+use daisy_tensor::{Param, RngState, Var};
 
 /// A differentiable transformation with trainable parameters.
 ///
@@ -45,20 +45,6 @@ pub fn num_params(params: &[Param]) -> usize {
 /// its weight cost, which `serve_start` and `/healthz` report.
 pub fn params_bytes(params: &[Param]) -> usize {
     num_params(params) * std::mem::size_of::<f32>()
-}
-
-
-/// Snapshot of all parameter values (for epoch-based model selection).
-pub fn snapshot(params: &[Param]) -> Vec<Tensor> {
-    params.iter().map(Param::value).collect()
-}
-
-/// Restores a snapshot taken by [`snapshot`].
-pub fn restore(params: &[Param], state: &[Tensor]) {
-    assert_eq!(params.len(), state.len(), "snapshot arity mismatch");
-    for (p, t) in params.iter().zip(state) {
-        p.set_value(t.clone());
-    }
 }
 
 /// True when any parameter value contains a NaN or infinity — the
@@ -154,7 +140,7 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::linear::Linear;
-    use daisy_tensor::Rng;
+    use daisy_tensor::{Rng, Tensor};
 
     #[test]
     fn sequential_composes() {
@@ -167,26 +153,6 @@ mod tests {
         let y = net.forward(&x);
         assert_eq!(y.shape(), &[3, 2]);
         assert_eq!(net.params().len(), 4); // two weight/bias pairs
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut rng = Rng::seed_from_u64(1);
-        let net = Linear::new(3, 3, &mut rng);
-        let params = net.params();
-        let saved = snapshot(&params);
-        // Perturb.
-        for p in &params {
-            p.set_value(p.value().add_scalar(1.0));
-        }
-        let x = Var::constant(Tensor::ones(&[1, 3]));
-        let perturbed = net.forward(&x).value().clone();
-        restore(&params, &saved);
-        let restored = net.forward(&x).value().clone();
-        assert_ne!(perturbed, restored);
-        // Restored output must equal the pre-perturbation output.
-        let net2_out = net.forward(&x);
-        assert_eq!(net2_out.value(), &restored);
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub const SYNTH: &[u8; 8] = b"DAISYSY1";
 pub const SYNTH_FOOTER: &[u8; 8] = b"DAISYCRC";
 
 /// Training checkpoints written by the crash-safe checkpoint plane.
-pub const CHECKPOINT: &[u8; 8] = b"DAISYCK1";
+/// Version 2: every epoch snapshot carries its BatchNorm statistics.
+pub const CHECKPOINT: &[u8; 8] = b"DAISYCK2";
 
 /// Serving protocol: client request frame.
 pub const SERVE_REQUEST: &[u8; 4] = b"DSRQ";

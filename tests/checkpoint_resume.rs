@@ -42,12 +42,13 @@ fn fixture() -> Table {
 }
 
 /// Fits under a scoped in-memory recorder; returns the deterministic
-/// trace view and the fit result as persisted model bytes.
+/// trace view and the fit result as persisted model bytes, one file per
+/// epoch snapshot. The last one is the fitted model itself.
 fn traced_fit(
     table: &Table,
     ckpt: &CheckpointPlan,
     threads: usize,
-) -> (String, Result<Vec<u8>, TrainError>) {
+) -> (String, Result<Vec<Vec<u8>>, TrainError>) {
     let (view, fitted) = traced_fit_with(
         table,
         &GuardConfig::default(),
@@ -55,7 +56,37 @@ fn traced_fit(
         ckpt,
         threads,
     );
-    (view, fitted.map(|fitted| fitted.to_bytes()))
+    (view, fitted.map(|mut fitted| snapshot_bytes(&mut fitted)))
+}
+
+/// The model file of every epoch snapshot: `load_snapshot(e)`, then
+/// `to_bytes()`. A snapshot holds the generator's BatchNorm statistics
+/// as well as its weights, so a resumed run must carry both for every
+/// epoch through the checkpoint.
+fn snapshot_bytes(fitted: &mut FittedSynthesizer) -> Vec<Vec<u8>> {
+    assert!(
+        quick_config().g_batchnorm,
+        "the fixture's generator has BatchNorm"
+    );
+    (0..fitted.n_snapshots())
+        .map(|e| {
+            fitted.load_snapshot(e);
+            fitted.to_bytes()
+        })
+        .collect()
+}
+
+/// Asserts that a resumed fit has the uninterrupted fit's model bytes at
+/// every one of the fixture's three epoch snapshots.
+fn assert_same_snapshots(resumed: &[Vec<u8>], full: &[Vec<u8>]) {
+    let counts = (resumed.len(), full.len());
+    assert_eq!(counts, (3, 3), "one snapshot per epoch");
+    for (e, (resumed, full)) in resumed.iter().zip(full).enumerate() {
+        assert!(
+            resumed == full,
+            "epoch {e} snapshot of the resumed model differs from the uninterrupted one"
+        );
+    }
 }
 
 /// [`traced_fit`] under a given guard and fault plan, returning the
@@ -108,7 +139,8 @@ fn cleanup(path: &Path) {
 /// checkpoint): the killed trace must be a byte prefix of the
 /// uninterrupted one, and the resumed trace must be the restore
 /// preamble plus — modulo sequence numbers — exactly the uninterrupted
-/// trace's remainder. Final model bytes must match too.
+/// trace's remainder. The model bytes of every epoch snapshot must
+/// match too.
 fn boundary_kill_roundtrip(threads: usize) {
     let table = fixture();
     let ref_path = scratch_path("resume-ref");
@@ -132,11 +164,7 @@ fn boundary_kill_roundtrip(threads: usize) {
     );
 
     let (resumed_view, resumed_bytes) = traced_fit(&table, &CheckpointPlan::at(&kill_path), threads);
-    assert_eq!(
-        resumed_bytes.expect("resumed fit succeeds"),
-        full_bytes,
-        "resumed model differs from the uninterrupted one"
-    );
+    assert_same_snapshots(&resumed_bytes.expect("resumed fit succeeds"), &full_bytes);
 
     let full_lines: Vec<&str> = full_view.lines().collect();
     let resumed_lines: Vec<&str> = resumed_view.lines().collect();
@@ -170,7 +198,8 @@ fn boundary_kill_resume_is_bit_exact_at_n_threads() {
 }
 
 /// Kill mid-epoch (t=4): resume restores the epoch-0 boundary and
-/// replays the partial epoch, still landing on identical final bytes.
+/// replays the partial epoch, still landing on identical bytes for
+/// every epoch snapshot.
 #[test]
 fn mid_epoch_kill_resume_is_bit_exact() {
     let table = fixture();
@@ -181,7 +210,7 @@ fn mid_epoch_kill_resume_is_bit_exact() {
     assert!(matches!(killed, Err(TrainError::Interrupted { step: 4, epoch: 1 })));
     let (resumed_view, resumed_bytes) = traced_fit(&table, &CheckpointPlan::at(&kill_path), 1);
     assert!(resumed_view.contains("\"event\":\"checkpoint_restore\""));
-    assert_eq!(resumed_bytes.unwrap(), full_bytes.unwrap());
+    assert_same_snapshots(&resumed_bytes.unwrap(), &full_bytes.unwrap());
     cleanup(&ref_path);
     cleanup(&kill_path);
 }
@@ -204,7 +233,7 @@ fn tripped_kill_roundtrip(threads: usize) {
     let fit = |ckpt: &CheckpointPlan| traced_fit_with(&table, &guard, &faults, ckpt, threads);
 
     let (full_view, full) = fit(&CheckpointPlan::at(&ref_path));
-    let full = full.expect("uninterrupted fit succeeds");
+    let mut full = full.expect("uninterrupted fit succeeds");
     let actions: Vec<RecoveryAction> = full.outcome().recoveries.iter().map(|e| e.action).collect();
     assert!(
         matches!(
@@ -219,8 +248,11 @@ fn tripped_kill_roundtrip(threads: usize) {
     assert!(full_view.starts_with(&killed_view));
 
     let (resumed_view, resumed) = fit(&CheckpointPlan::at(&kill_path));
-    let resumed = resumed.expect("resumed fit succeeds");
+    let mut resumed = resumed.expect("resumed fit succeeds");
     assert_eq!(resumed.to_bytes(), full.to_bytes(), "model bytes differ");
+    // The restored checkpoint held two epoch snapshots, each with its
+    // own BatchNorm statistics.
+    assert_same_snapshots(&snapshot_bytes(&mut resumed), &snapshot_bytes(&mut full));
     // The last checkpoint holds the whole state, including the fault
     // arming and rollback count that nothing after the kill reads.
     let last_checkpoint = |path: &Path| std::fs::read(path).expect("a final checkpoint");

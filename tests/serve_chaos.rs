@@ -231,6 +231,78 @@ fn corrupt_reload_quarantines_and_the_old_model_keeps_serving() {
     assert_eq!(before.rows, after.rows, "same model, same rows");
 }
 
+/// The model file `bytes` (the fixture, whose output schema is
+/// `schema`) with its label index moved past the schema's end, then
+/// re-sealed. The CRC matches, so only the loader's own checks stand
+/// between this file and a panic in `Schema::with_label`.
+fn label_past_the_schema(bytes: &[u8], schema: &Schema) -> Vec<u8> {
+    use daisy::data::AttrType;
+    use daisy::wire::{crc64, magic::SYNTH_FOOTER, Writer};
+    let encode = |label: usize| {
+        let mut w = Writer::default();
+        w.usize(schema.n_attrs());
+        for a in schema.attrs() {
+            w.str(&a.name);
+            w.u8(u8::from(a.ty == AttrType::Categorical));
+        }
+        w.bool(true);
+        w.usize(label);
+        w.buf
+    };
+    let old = encode(schema.label().expect("the fixture is labeled"));
+    let body = &bytes[..bytes.len() - SYNTH_FOOTER.len() - 8];
+    let at = body
+        .windows(old.len())
+        .rposition(|w| w == old.as_slice())
+        .expect("the output schema is in the file");
+    let mut edited = [
+        &body[..at],
+        &encode(schema.n_attrs()),
+        &body[at + old.len()..],
+    ]
+    .concat();
+    let crc = crc64(&edited);
+    edited.extend_from_slice(SYNTH_FOOTER);
+    edited.extend_from_slice(&crc.to_le_bytes());
+    edited
+}
+
+#[test]
+fn resealed_malformed_reload_is_quarantined_and_the_admin_plane_keeps_answering() {
+    use daisy::serve::{fetch_admin, post_admin};
+    let model = private_model_copy("resealed-reload");
+    let cfg = ServeConfig {
+        admin_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    };
+    let (server, addr) = spawn_server(&model, cfg);
+    let admin = server
+        .admin_addr()
+        .expect("admin listener is on")
+        .to_string();
+    let request = Request::new(8, 300);
+    let before = fetch(addr, &request).expect("serves before the bad push");
+
+    let schema = daisy::datasets::by_name("Adult")
+        .unwrap()
+        .generate(500, 3)
+        .schema()
+        .clone();
+    let bytes = std::fs::read(&model).expect("model bytes");
+    std::fs::write(&model, label_past_the_schema(&bytes, &schema)).expect("edit lands");
+    let err = post_admin(&admin, "/reload").expect_err("a malformed reload is refused");
+    assert!(format!("{err}").contains("500"), "{err}");
+    assert!(
+        !model.exists(),
+        "the malformed file was quarantined off the path"
+    );
+
+    let health = fetch_admin(&admin, "/healthz").expect("healthz still answers");
+    assert!(health.contains("generation 0"), "{health}");
+    let after = fetch(addr, &request).expect("still serving on the old model");
+    assert_eq!(before.rows, after.rows, "same model, same rows");
+}
+
 #[test]
 fn drain_seals_in_flight_streams_with_a_typed_end_frame() {
     use std::io::Read;

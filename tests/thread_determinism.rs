@@ -251,6 +251,7 @@ fn chunk_store_training_is_bit_identical_to_resident_across_threads() {
         run.snapshots
             .last()
             .unwrap()
+            .params
             .iter()
             .flat_map(|t| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
             .collect::<Vec<u32>>()
