@@ -9,6 +9,10 @@
 //! mode by default (reduced rows/iterations, same shapes); set
 //! `DAISY_FULL=1` for larger runs.
 //!
+//! The microbenchmarks (`kernels`, `serve`, `ingest`) share one timing
+//! loop and one `BENCH_*.json` writer, [`micro`]: every row records the
+//! min, median and median absolute deviation of its timed calls.
+//!
 //! Long sweeps survive crashes: [`harness::run_sweep_resumable`]
 //! journals per-cell progress (see [`journal`]) and checkpoints the
 //! in-flight cell's training state, so a killed sweep reruns only the
@@ -19,3 +23,4 @@
 
 pub mod harness;
 pub mod journal;
+pub mod micro;

@@ -74,12 +74,6 @@ impl<'a> RowStream<'a> {
         self.total
     }
 
-    /// Rows already generated (handed out via [`RowStream::next_batch`]
-    /// or buffered for the iterator).
-    pub fn generated_rows(&self) -> usize {
-        self.generated
-    }
-
     /// The stream RNG's current state — [`FittedSynthesizer::generate`]
     /// uses this to advance its caller's RNG exactly as the pre-stream
     /// implementation did.

@@ -64,17 +64,21 @@ impl Dict {
     }
 }
 
-/// Escapes one cell for CSV output. Returns `None` if the cell cannot
-/// be written at all (embedded line break); otherwise the cell, quoted
-/// if it contains a comma or a double quote.
-pub(crate) fn escape_cell(cell: &str) -> Option<String> {
+/// Escapes one cell for CSV output: the cell, quoted (with `"` doubled)
+/// if it contains a comma or a double quote. Fails with
+/// [`DataError::UnwritableCategory`] on an embedded line break, which
+/// the line-oriented reader could not read back. [`write_csv`] and the
+/// `daisy rows` client both quote through it.
+pub fn escape_cell(cell: &str) -> Result<String, DataError> {
     if cell.contains('\n') || cell.contains('\r') {
-        return None;
+        return Err(DataError::UnwritableCategory {
+            name: cell.to_string(),
+        });
     }
     if cell.contains(',') || cell.contains('"') {
-        Some(format!("\"{}\"", cell.replace('"', "\"\"")))
+        Ok(format!("\"{}\"", cell.replace('"', "\"\"")))
     } else {
-        Some(cell.to_string())
+        Ok(cell.to_string())
     }
 }
 
@@ -170,10 +174,7 @@ pub(crate) fn read_header<B: BufRead>(
 pub fn write_csv<W: Write>(table: &Table, mut out: W) -> Result<(), DataError> {
     let mut names = Vec::with_capacity(table.n_attrs());
     for a in table.schema().attrs() {
-        let cell = escape_cell(&a.name).ok_or_else(|| DataError::UnwritableCategory {
-            name: a.name.clone(),
-        })?;
-        names.push(cell);
+        names.push(escape_cell(&a.name)?);
     }
     writeln!(out, "{}", names.join(","))?;
     for i in 0..table.n_rows() {
@@ -182,10 +183,7 @@ pub fn write_csv<W: Write>(table: &Table, mut out: W) -> Result<(), DataError> {
             match table.column(j) {
                 Column::Num(v) => cells.push(format!("{}", v[i])),
                 Column::Cat { codes, categories } => {
-                    let name = &categories[codes[i] as usize];
-                    let cell = escape_cell(name)
-                        .ok_or_else(|| DataError::UnwritableCategory { name: name.clone() })?;
-                    cells.push(cell);
+                    cells.push(escape_cell(&categories[codes[i] as usize])?);
                 }
             }
         }

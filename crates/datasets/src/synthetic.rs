@@ -49,11 +49,6 @@ impl TableSpec {
             + usize::from(self.label_probs.is_some())
     }
 
-    /// Generates the table at its full published size.
-    pub fn generate_default(&self, seed: u64) -> Table {
-        self.generate(self.default_rows, seed)
-    }
-
     /// Generates `n` rows. All structural parameters (factor loadings,
     /// category scores, mode offsets) derive deterministically from
     /// `seed`, so two tables from the same seed share one underlying

@@ -53,11 +53,6 @@ pub fn params_non_finite(params: &[Param]) -> bool {
     params.iter().any(|p| p.value().has_non_finite())
 }
 
-/// True when any accumulated gradient contains a NaN or infinity.
-pub fn grads_non_finite(params: &[Param]) -> bool {
-    params.iter().any(|p| p.grad().has_non_finite())
-}
-
 /// Global L2 norm of all gradients: `sqrt(sum_p ||grad_p||^2)`. The
 /// same quantity [`crate::clip_grad_norm`] computes before scaling,
 /// without the clip; used for telemetry gauges.

@@ -27,7 +27,7 @@
 
 use crate::server::{ServeState, SharedModel};
 use crate::ServeError;
-use daisy_telemetry::{expose, metrics, profile, Stopwatch};
+use daisy_telemetry::{duration_ms, expose, metrics, profile, Stopwatch};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -37,6 +37,12 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// How many phases `/profile` lists.
 const PROFILE_TOP_N: usize = 20;
+
+/// Read and write deadline of one admin connection. Connections are
+/// answered one at a time, so a client that connects and sends nothing
+/// holds every other admin request until this fires and the connection
+/// is dropped.
+const IO_DEADLINE_MS: u64 = 2_000;
 
 /// The serving process's live state as the admin plane sees it: the
 /// hot-swappable model, the drain lifecycle, and the slot cap.
@@ -101,8 +107,13 @@ impl AdminServer {
 
 /// Answers one admin connection: read one request, write one response,
 /// close. All errors are swallowed — a broken scraper must never touch
-/// the serving process.
+/// the serving process — and a read error, [`IO_DEADLINE_MS`] included,
+/// drops the connection unanswered.
 fn handle(mut stream: TcpStream, info: &AdminInfo) {
+    let deadline = Some(duration_ms(IO_DEADLINE_MS));
+    if stream.set_read_timeout(deadline).is_err() || stream.set_write_timeout(deadline).is_err() {
+        return;
+    }
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     let request = loop {
@@ -120,7 +131,7 @@ fn handle(mut stream: TcpStream, info: &AdminInfo) {
                     break parse_request_line(&buf);
                 }
             }
-            Err(_) => break None,
+            Err(_) => return,
         }
     }
     .or_else(|| parse_request_line(&buf));

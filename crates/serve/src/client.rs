@@ -40,24 +40,9 @@ pub struct Response {
     pub columns: Vec<ColumnSpec>,
     /// Every streamed row, in order. Numerical cells are
     /// [`Value::Num`], categorical cells are [`Value::Cat`] codes into
-    /// the matching [`ColumnSpec::Cat`] category list.
+    /// the matching [`ColumnSpec::Cat`] category list;
+    /// [`ColumnSpec::render_cell`] renders either as a CSV field.
     pub rows: Vec<Vec<Value>>,
-}
-
-impl Response {
-    /// Renders one cell for display/CSV: numerical cells as their
-    /// shortest roundtrip form, categorical cells as their category
-    /// name.
-    pub fn render_cell(&self, col: usize, value: &Value) -> String {
-        match (value, &self.columns[col]) {
-            (Value::Num(x), _) => format!("{x}"),
-            (Value::Cat(code), ColumnSpec::Cat { categories, .. }) => categories
-                .get(*code as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("<code {code}>")),
-            (Value::Cat(code), ColumnSpec::Num { .. }) => format!("<code {code}>"),
-        }
-    }
 }
 
 /// What [`StreamDecoder::feed`] made of one frame body.
@@ -364,15 +349,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that fails on the first transient error (attempt 1 is
-    /// the only attempt).
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The delay before retry number `retry` (0-based): the capped
     /// exponential `min(base·2^retry, max)`, jittered into its upper
     /// half `[d/2, d]` by a hash of `(jitter_seed, retry)`.

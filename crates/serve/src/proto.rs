@@ -44,6 +44,8 @@
 
 use crate::ServeError;
 use daisy_core::synthesizer::GENERATION_BATCH;
+use daisy_data::csv::escape_cell;
+use daisy_data::{DataError, Value};
 use daisy_wire::{crc64, Reader, Writer};
 use std::io::{Read, Write};
 
@@ -320,6 +322,23 @@ impl ColumnSpec {
             ColumnSpec::Cat { .. } => 4,
         }
     }
+
+    /// Renders one cell of this column as a CSV field: a numerical cell
+    /// as its shortest round-trip form, a categorical cell as its
+    /// category name, quoted by [`escape_cell`] as `write_csv` quotes
+    /// it. Fails, as `write_csv` does, on a name with a line break.
+    pub fn render_cell(&self, value: &Value) -> Result<String, DataError> {
+        match (value, self) {
+            (Value::Num(x), _) => Ok(format!("{x}")),
+            (Value::Cat(code), ColumnSpec::Cat { categories, .. }) => {
+                match categories.get(*code as usize) {
+                    Some(name) => escape_cell(name),
+                    None => Ok(format!("<code {code}>")),
+                }
+            }
+            (Value::Cat(code), ColumnSpec::Num { .. }) => Ok(format!("<code {code}>")),
+        }
+    }
 }
 
 /// A decoded response header: either the accepted echo of the request
@@ -461,6 +480,22 @@ impl Header {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn render_cell_quotes_as_write_csv_does_and_refuses_line_breaks() {
+        let cat = ColumnSpec::Cat {
+            name: "c".into(),
+            categories: vec!["x, y".into(), "q\"r".into(), "a\nb".into(), "plain".into()],
+        };
+        let cell = |code| cat.render_cell(&Value::Cat(code)).ok();
+        assert_eq!(cell(0).as_deref(), Some("\"x, y\""));
+        assert_eq!(cell(1).as_deref(), Some("\"q\"\"r\""));
+        assert_eq!(cell(2), None);
+        assert_eq!(cell(3).as_deref(), Some("plain"));
+        assert_eq!(cell(9).as_deref(), Some("<code 9>"));
+        let num = ColumnSpec::Num { name: "n".into() };
+        assert_eq!(num.render_cell(&Value::Num(0.1)).unwrap(), "0.1");
+    }
 
     #[test]
     fn request_roundtrip() {

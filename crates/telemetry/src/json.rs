@@ -1,8 +1,8 @@
 //! A minimal JSON value with a writer and a recursive-descent parser.
 //!
 //! This is the single JSON implementation of the workspace: the JSONL
-//! trace sink ([`crate::sink`]), the bench report emitter
-//! (`crates/bench/benches/kernels.rs`), trace validation
+//! trace sink ([`crate::sink`]), the `BENCH_*.json` report writer
+//! (`daisy_bench::micro`), trace validation
 //! ([`crate::trace`]) and the `daisy report` renderer all go through
 //! it, replacing the ad-hoc string-building serializers that used to
 //! live next to each call site.

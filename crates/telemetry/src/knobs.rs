@@ -104,7 +104,7 @@ pub const KNOBS: &[Knob] = &[
         name: "DAISY_BENCH_JSON",
         default: "-",
         owner: "bench",
-        doc: "Path where a bench writes its machine-readable JSON report, replacing the file; unset disables.",
+        doc: "Path where the kernels, serve or ingest bench writes its JSON report, replacing the file; 1 or empty writes BENCH_<bench>.json; unset disables.",
     },
     Knob {
         name: "DAISY_FULL",

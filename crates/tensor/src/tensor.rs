@@ -128,11 +128,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Number of rows of a 2-D tensor.
     #[inline]
     pub fn rows(&self) -> usize {

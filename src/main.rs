@@ -422,20 +422,34 @@ fn serve(mut args: Vec<String>) -> Result<(), String> {
     std::process::exit(143);
 }
 
-/// Renders one CSV cell against the stream's column contract:
-/// numerical cells as their shortest roundtrip form, categorical cells
-/// as their category name.
-fn render_stream_cell(columns: &[daisy::serve::ColumnSpec], col: usize, value: &daisy::data::Value) -> String {
-    use daisy::data::Value;
-    use daisy::serve::ColumnSpec;
-    match (value, &columns[col]) {
-        (Value::Num(x), _) => format!("{x}"),
-        (Value::Cat(code), ColumnSpec::Cat { categories, .. }) => categories
-            .get(*code as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("<code {code}>")),
-        (Value::Cat(code), ColumnSpec::Num { .. }) => format!("<code {code}>"),
+/// Renders one validated batch of a `daisy rows` stream as CSV lines,
+/// after the header line when `header` is set. Names and cells are
+/// quoted as `write_csv` quotes them, and a name with a line break is
+/// an error there as here, so `read_csv` reads the file back.
+fn csv_lines(
+    p: &daisy::serve::Progress<'_>,
+    header: bool,
+) -> Result<String, daisy::data::DataError> {
+    let mut out = String::new();
+    if header {
+        let names: Vec<String> = p
+            .columns
+            .iter()
+            .map(|c| daisy::data::csv::escape_cell(c.name()))
+            .collect::<Result<_, _>>()?;
+        out.push_str(&names.join(","));
+        out.push('\n');
     }
+    for row in p.rows {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(p.columns)
+            .map(|(v, c)| c.render_cell(v))
+            .collect::<Result<_, _>>()?;
+        out.push_str(&cells.join(","));
+        out.push('\n');
+    }
+    Ok(out)
 }
 
 /// Scripted client: streams one reproducible row stream from a running
@@ -524,29 +538,19 @@ fn rows(mut args: Vec<String>) -> Result<(), String> {
         }
         None => Box::new(std::io::stdout()),
     };
-    let mut written = 0u64;
     let mut io_err: Option<String> = None;
     let attempts = daisy::serve::fetch_with_retry(addr.as_str(), &request, &policy, |p| {
         if io_err.is_some() {
             return;
         }
-        let mut chunk = String::new();
-        if !header_done {
-            let names: Vec<&str> = p.columns.iter().map(|c| c.name()).collect();
-            chunk.push_str(&names.join(","));
-            chunk.push('\n');
-            header_done = true;
-        }
-        for row in p.rows {
-            let cells: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(j, v)| render_stream_cell(p.columns, j, v))
-                .collect();
-            chunk.push_str(&cells.join(","));
-            chunk.push('\n');
-        }
-        written += p.rows.len() as u64;
+        let chunk = match csv_lines(&p, !header_done) {
+            Ok(chunk) => chunk,
+            Err(e) => {
+                io_err = Some(e.to_string());
+                return;
+            }
+        };
+        header_done = true;
         // Write and flush per validated batch so a killed client
         // leaves at most one torn line for --resume to truncate.
         if let Err(e) = writer.write_all(chunk.as_bytes()).and_then(|()| writer.flush()) {
@@ -564,7 +568,6 @@ fn rows(mut args: Vec<String>) -> Result<(), String> {
             if attempts == 1 { "" } else { "s" }
         );
     }
-    let _ = written;
     Ok(())
 }
 

@@ -7,8 +7,10 @@
 use daisy::prelude::*;
 use daisy::serve::{fetch, fetch_admin, post_admin};
 use daisy::telemetry::expose;
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
 /// Trains one small conditional model and saves it once for the whole
 /// test binary (same fixture shape as `serve_stream.rs`).
@@ -73,6 +75,48 @@ fn admin_endpoint_answers_healthz_metrics_and_profile() {
 
     // Unknown paths are a typed rejection, not a panic or a hang.
     assert!(fetch_admin(&admin, "/nope").is_err());
+}
+
+#[test]
+fn an_idle_admin_connection_does_not_stall_the_admin_plane() {
+    let cfg = ServeConfig {
+        admin_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(model_path(), "127.0.0.1:0", cfg).expect("server binds");
+    let admin = server
+        .admin_addr()
+        .expect("admin listener is on")
+        .to_string();
+    // daisy-lint: allow(D003) -- test server thread; responses are seed-reproducible
+    std::thread::spawn(move || {
+        let _ = server.run();
+    });
+
+    // Connects first and sends nothing. The admin listener answers one
+    // connection at a time, so this one is taken first.
+    let mut idle = TcpStream::connect(&admin).expect("idle client connects");
+    let (tx, rx) = mpsc::channel();
+    let probe = admin.clone();
+    // daisy-lint: allow(D003) -- test client thread; the probe may block at a stalled listener
+    std::thread::spawn(move || {
+        let _ = tx.send(fetch_admin(&probe, "/healthz"));
+    });
+    // The admin deadline is 2 s; allow 3 s more.
+    let health = rx
+        .recv_timeout(daisy_telemetry::duration_ms(5_000))
+        .expect("healthz answers while an idle connection is open")
+        .expect("healthz answers");
+    assert!(health.starts_with("ok\n"), "{health}");
+    // The idle connection was dropped unanswered.
+    idle.set_read_timeout(Some(daisy_telemetry::duration_ms(5_000)))
+        .expect("read timeout sets");
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        idle.read(&mut byte)
+            .expect("the admin listener closed the idle connection"),
+        0
+    );
 }
 
 #[test]

@@ -133,7 +133,9 @@ fn conditional_requests_pin_every_label_cell() {
     assert_eq!(response.rows.len(), 300);
     for row in &response.rows {
         assert_eq!(
-            response.render_cell(label_col, &row[label_col]),
+            response.columns[label_col]
+                .render_cell(&row[label_col])
+                .unwrap(),
             category,
             "a conditioned stream must pin the label column"
         );
@@ -236,4 +238,81 @@ fn rejected_requests_leave_the_connection_usable() {
         panic!("an unknown category must be a typed rejection");
     };
     assert!(reason.contains("no-such-category"), "got: {reason}");
+}
+
+#[test]
+fn daisy_rows_writes_csv_that_read_csv_reads_back() {
+    use daisy::data::csv::{escape_cell, read_csv};
+
+    // A column name with a comma, categories with a comma and a quote.
+    let mut csv = String::from("\"a,b\",num,label\n");
+    for i in 0..240 {
+        let cat = ["\"x, y\"", "\"q\"\"r\"", "plain"][i % 3];
+        let label = ["p", "n"][(i / 3) % 2];
+        csv.push_str(&format!("{cat},{},{label}\n", (i % 17) as f64 * 0.5));
+    }
+    let table = read_csv(csv.as_bytes(), Some("label")).expect("fixture parses");
+    let mut tc = TrainConfig::vtrain(20);
+    tc.batch_size = 32;
+    tc.epochs = 1;
+    let mut cfg = SynthesizerConfig::new(NetworkKind::Mlp, tc);
+    cfg.g_hidden = vec![16];
+    cfg.d_hidden = vec![16];
+    let dir = std::env::temp_dir().join(format!("daisy-rows-csv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let model = dir.join("model.bin");
+    Synthesizer::fit(&table, &cfg)
+        .save(&model)
+        .expect("model saves");
+
+    let server = Server::bind(&model, "127.0.0.1:0", ServeConfig::default()).expect("server binds");
+    let addr = server.local_addr().expect("server has an address");
+    // daisy-lint: allow(D003) -- test server thread; responses are seed-reproducible
+    std::thread::spawn(move || {
+        let _ = server.run();
+    });
+
+    let out = dir.join("rows.csv");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_daisy"))
+        .args([
+            "rows",
+            &addr.to_string(),
+            "--rows",
+            "300",
+            "--seed",
+            "7",
+            "--out",
+        ])
+        .arg(&out)
+        .status()
+        .expect("daisy rows runs");
+    assert!(status.success(), "daisy rows failed: {status}");
+    let file = std::fs::File::open(&out).expect("rows file opens");
+    let read = read_csv(std::io::BufReader::new(file), None).expect("read_csv reads daisy rows");
+    let response = fetch(addr, &Request::new(7, 300)).expect("fetch succeeds");
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(read.n_rows(), 300);
+    let names: Vec<&str> = read
+        .schema()
+        .attrs()
+        .iter()
+        .map(|a| a.name.as_str())
+        .collect();
+    assert_eq!(names, ["a,b", "num", "label"]);
+    let mut quoted = 0;
+    for (i, row) in response.rows.iter().enumerate() {
+        for (j, value) in row.iter().enumerate() {
+            let cell = match read.column(j) {
+                Column::Num(v) => format!("{}", v[i]),
+                Column::Cat { codes, categories } => {
+                    escape_cell(&categories[codes[i] as usize]).expect("no line break")
+                }
+            };
+            let rendered = response.columns[j].render_cell(value).expect("renders");
+            assert_eq!(cell, rendered, "row {i}, column {j}");
+            quoted += usize::from(rendered.starts_with('"'));
+        }
+    }
+    assert!(quoted > 0, "the stream exercised no quoted category");
 }
