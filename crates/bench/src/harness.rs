@@ -428,17 +428,6 @@ pub fn default_mlp(seed: u64) -> SynthesizerConfig {
     )
 }
 
-/// The conditional-GAN default the paper uses in the methods
-/// comparison (§7.2): CTrain on an MLP generator.
-pub fn default_cgan(seed: u64) -> SynthesizerConfig {
-    gan_config(
-        NetworkKind::Mlp,
-        TransformConfig::gn_ht(),
-        TrainConfig::ctrain(0),
-        seed,
-    )
-}
-
 /// The "GAN" entry of the methods comparisons, following the paper's
 /// guidance (Findings 4 and 9 in §8): conditional GAN for tables with
 /// skewed labels (ratio > 9, the paper's skew criterion), plain VTrain

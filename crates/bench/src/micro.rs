@@ -65,6 +65,31 @@ pub fn time(samples: usize, mut f: impl FnMut()) -> Timing {
     Timing::of(times)
 }
 
+/// [`time`] for two workloads compared against each other: one warm-up
+/// call of each, then `samples` rounds of one timed call of each. The
+/// call that goes first alternates from round to round, so drift over
+/// the run and the order within a round fall on both alike.
+pub fn time_pair(samples: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (Timing, Timing) {
+    f();
+    g();
+    let timed = |h: &mut dyn FnMut()| {
+        let clock = Stopwatch::start();
+        h();
+        clock.elapsed_ms()
+    };
+    let (mut tf, mut tg) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for round in 0..samples {
+        if round % 2 == 0 {
+            tf.push(timed(&mut f));
+            tg.push(timed(&mut g));
+        } else {
+            tg.push(timed(&mut g));
+            tf.push(timed(&mut f));
+        }
+    }
+    (Timing::of(tf), Timing::of(tg))
+}
+
 /// The logical cores this host exposes, as every report records them.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -234,6 +259,18 @@ mod tests {
         let t = time(4, || calls += 1);
         assert_eq!((calls, t.samples), (5, 4));
         assert!(0.0 <= t.min_ms && t.min_ms <= t.median_ms && t.mad_ms >= 0.0);
+    }
+
+    #[test]
+    fn time_pair_warms_up_each_once_and_alternates_the_first_call() {
+        let calls = std::cell::RefCell::new(String::new());
+        let call = |c| {
+            let calls = &calls;
+            move || calls.borrow_mut().push(c)
+        };
+        let (a, b) = time_pair(3, call('a'), call('b'));
+        assert_eq!(calls.take(), "ababbaab");
+        assert_eq!((a.samples, b.samples), (3, 3));
     }
 
     #[test]

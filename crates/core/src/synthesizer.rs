@@ -585,13 +585,12 @@ impl Synthesizer {
                     field("clean", fitted.outcome.is_clean()),
                 ],
             );
-            // End-of-fit pool/kernel utilization. The snapshot event is
-            // marked non-deterministic (counters depend on the thread
-            // count), so `deterministic_view` drops it wholesale.
+            // End-of-fit pool/kernel utilization and phase profile (wall
+            // time per fit/epoch/... path, when DAISY_PROFILE is on). The
+            // snapshot event is marked non-deterministic (counters depend
+            // on the thread count), so `deterministic_view` drops it
+            // wholesale.
             daisy_telemetry::emit_metrics_snapshot();
-            // Phase profile (wall time per fit/epoch/... path) rides the
-            // same nd plane; a no-op unless DAISY_PROFILE is on.
-            daisy_telemetry::emit_profile_snapshot();
         }
         Ok(fitted)
     }

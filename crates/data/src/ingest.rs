@@ -237,29 +237,20 @@ struct ParsedJournal {
 /// everything after is ignored. Returns `None` when no usable prefix
 /// exists (bad magic, no header record, structural nonsense).
 fn parse_journal(bytes: &[u8]) -> Option<ParsedJournal> {
-    if bytes.len() < JOURNAL_MAGIC.len() || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
+    let mut frames = Reader::new(bytes);
+    if frames.take(JOURNAL_MAGIC.len()).ok()? != JOURNAL_MAGIC {
         return None;
     }
-    let mut pos = JOURNAL_MAGIC.len();
     let mut header: Option<HeaderRec> = None;
     let mut header_end = 0usize;
     let mut chunks: Vec<ChunkRec> = Vec::new();
     let mut chunk_end: Vec<usize> = Vec::new();
     let mut done: Option<DoneRec> = None;
-    while pos < bytes.len() {
-        // One `[len u64][crc u64][body]` frame at `pos`.
-        let mut head = Reader::new(&bytes[pos..]);
-        let Ok(len) = head.len() else { break };
-        let Ok(stored) = head.u64() else { break };
-        if pos + 16 + len > bytes.len() {
-            break; // torn tail
-        }
-        let body = &bytes[pos + 16..pos + 16 + len];
-        if crc64(body) != stored {
-            break; // torn or corrupt tail
-        }
-        let end = pos + 16 + len;
-        let mut r = Reader::new(body);
+    while !frames.is_empty() {
+        // One `[len u64][crc u64][body]` frame; a torn or corrupt one
+        // ends the usable prefix.
+        let Ok(mut r) = frames.section() else { break };
+        let end = frames.position();
         match r.u8().ok()? {
             0 => {
                 if header.is_some() {
@@ -316,7 +307,6 @@ fn parse_journal(bytes: &[u8]) -> Option<ParsedJournal> {
             }
             _ => return None,
         }
-        pos = end;
     }
     Some(ParsedJournal {
         header: header?,

@@ -592,8 +592,8 @@ fn check_s004_phase_literals(
             &file.rel,
             line,
             format!(
-                "phase \"{name}\" is not in telemetry::schema::PHASES; add it there so the \
-                 profile event schema, /metrics labels, and `daisy top` stay in sync"
+                "phase \"{name}\" is not in telemetry::schema::PHASES; add it there so \
+                 traces, /metrics labels, /profile and `daisy top` stay in sync"
             ),
         ));
     };

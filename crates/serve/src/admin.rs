@@ -232,32 +232,21 @@ fn reload_body(info: &AdminInfo) -> (u16, String) {
     }
 }
 
-/// The `/profile` body: hottest phases by self time.
+/// The `/profile` body: the [`PROFILE_TOP_N`] hottest phases by self
+/// time ([`profile::render_table`]).
 fn profile_body() -> String {
-    let mut out = format!(
-        "phases by self time (profiling {})\n",
-        if profile::profiling_enabled() {
-            "on"
-        } else {
-            "off — set DAISY_PROFILE=1"
-        }
-    );
-    let top = profile::top_by_self_time(PROFILE_TOP_N);
-    if top.is_empty() {
-        out.push_str("no phases recorded\n");
-        return out;
-    }
-    out.push_str("     self_ms     total_ms      calls  phase\n");
-    for p in top {
-        out.push_str(&format!(
-            "{:>12.1} {:>12.1} {:>10}  {}\n",
-            p.self_ns as f64 / 1e6,
-            p.total_ns as f64 / 1e6,
-            p.calls,
-            p.path
-        ));
-    }
-    out
+    let state = if profile::profiling_enabled() {
+        "on"
+    } else {
+        "off — set DAISY_PROFILE=1"
+    };
+    let phases = profile::snapshot();
+    let table = if phases.is_empty() {
+        "no phases recorded\n".to_string()
+    } else {
+        profile::render_table(&phases, PROFILE_TOP_N)
+    };
+    format!("phases by self time (profiling {state})\n{table}")
 }
 
 /// Issues one admin request and returns the body of a 200 response.

@@ -413,7 +413,7 @@ fn retryable(e: &ServeError) -> bool {
         ServeError::Rejected(reason) => {
             reason.starts_with("overloaded") || reason.starts_with("draining")
         }
-        ServeError::CorruptModel { .. } => false,
+        ServeError::CorruptModel { .. } | ServeError::Aborted(_) => false,
     }
 }
 
@@ -425,12 +425,13 @@ fn retryable(e: &ServeError) -> bool {
 ///
 /// Returns the attempts used. Memory stays bounded by one frame —
 /// accumulate in `on_batch` only if you want materialization (that is
-/// what [`fetch_resumable`] does).
+/// what [`fetch_resumable`] does). An `Err` from `on_batch` ends the
+/// fetch at once as [`ServeError::Aborted`].
 pub fn fetch_with_retry(
     addr: impl ToSocketAddrs,
     request: &Request,
     policy: &RetryPolicy,
-    mut on_batch: impl FnMut(Progress<'_>),
+    mut on_batch: impl FnMut(Progress<'_>) -> Result<(), String>,
 ) -> Result<u32, ServeError> {
     let mut next_start = request.start_row;
     let mut header_notified = false;
@@ -462,7 +463,7 @@ fn fetch_once(
     request: &Request,
     attempt: u32,
     header_notified: &mut bool,
-    on_batch: &mut impl FnMut(Progress<'_>),
+    on_batch: &mut impl FnMut(Progress<'_>) -> Result<(), String>,
     next_start: &mut u64,
 ) -> Result<(), ServeError> {
     let mut stream = TcpStream::connect(addr)?;
@@ -495,7 +496,8 @@ fn fetch_once(
                         payload: &[],
                         n_rows,
                         attempt,
-                    });
+                    })
+                    .map_err(ServeError::Aborted)?;
                 }
             }
             StreamItem::Rows {
@@ -510,7 +512,8 @@ fn fetch_once(
                     payload: &payload,
                     n_rows: request.n_rows,
                     attempt,
-                });
+                })
+                .map_err(ServeError::Aborted)?;
                 *next_start = decoder.next_row();
             }
             StreamItem::End(end) => {
@@ -544,6 +547,7 @@ pub fn fetch_resumable(
         }
         rows.extend(p.rows.iter().cloned());
         payload.extend_from_slice(p.payload);
+        Ok(())
     })?;
     Ok((
         Response {
@@ -661,5 +665,6 @@ mod tests {
             error: "x".into(),
             quarantined: None
         }));
+        assert!(!retryable(&ServeError::Aborted("write failed".into())));
     }
 }

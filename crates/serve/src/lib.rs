@@ -105,6 +105,9 @@ pub enum ServeError {
     /// retrying client backs off and resends; everything else is
     /// permanent.
     Rejected(String),
+    /// The `on_batch` handler of [`fetch_with_retry`] ended the fetch
+    /// with this message (its output failed, say); never retried.
+    Aborted(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -121,6 +124,7 @@ impl std::fmt::Display for ServeError {
                 None => write!(f, "corrupt model file ({error}); quarantine failed"),
             },
             ServeError::Rejected(msg) => write!(f, "request rejected: {msg}"),
+            ServeError::Aborted(msg) => f.write_str(msg),
         }
     }
 }

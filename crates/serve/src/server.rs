@@ -13,8 +13,7 @@ use crate::ServeError;
 use daisy_core::FittedSynthesizer;
 use daisy_data::Column;
 use daisy_telemetry::{
-    duration_ms, emit_event, enabled, field, knobs, metrics, profile, schema, sleep_ms, Event,
-    Stopwatch,
+    duration_ms, emit_event, enabled, field, knobs, metrics, schema, sleep_ms, Event, Stopwatch,
 };
 use daisy_wire::{crc64, ArmedIo, Crc64, IoFaultPlan, Writer};
 use std::io::{Read, Write};
@@ -492,9 +491,6 @@ pub fn serve_connection(
             // end-of-run flush: snapshot the serve.* metrics after every
             // request to keep the trace's last snapshot current.
             daisy_telemetry::emit_metrics_snapshot();
-            if profile::profiling_enabled() {
-                daisy_telemetry::emit_profile_snapshot();
-            }
         }
         let answer = answered?;
         output.flush()?;
@@ -534,9 +530,7 @@ struct ConnTally {
 impl Drop for ConnTally {
     fn drop(&mut self) {
         metrics::histogram("serve.requests_per_conn").observe(self.requests);
-        if enabled() {
-            daisy_telemetry::emit_metrics_snapshot();
-        }
+        daisy_telemetry::emit_metrics_snapshot();
     }
 }
 
@@ -947,9 +941,7 @@ impl Server {
         while self.active_connections() > 0 && grace.elapsed_ms() < DRAIN_STRAGGLER_GRACE_MS {
             sleep_ms(ACCEPT_POLL_MS);
         }
-        if enabled() {
-            daisy_telemetry::emit_metrics_snapshot();
-        }
+        daisy_telemetry::emit_metrics_snapshot();
     }
 
     fn try_acquire_slot(&self) -> Option<SlotGuard> {

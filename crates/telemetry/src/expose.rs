@@ -14,12 +14,17 @@
 //! non-alphanumeric byte to `_`), so `serve.request_us` exposes as
 //! `daisy_serve_request_us`.
 //!
-//! [`parse`] is the matching reader — used by `daisy top` to consume
-//! `/metrics` and by the round-trip test that pins the writer to a
-//! parseable format. It is intentionally strict: malformed names,
-//! labels, or values are errors, not skips, so a formatting regression
-//! fails loudly in CI.
+//! The same text is the one serialization of a registry snapshot: a
+//! trace's `metrics` events carry it as their `exposition` field
+//! ([`crate::emit_metrics_snapshot`]).
+//!
+//! [`parse`] is the matching reader, and [`Snapshot::decode`] builds on
+//! it: `daisy report` decodes a trace's last snapshot and `daisy top`
+//! each `/metrics` poll through it. The parser is intentionally strict:
+//! malformed names, labels, or values are errors, not skips, so a
+//! formatting regression fails loudly in CI.
 
+use crate::profile::PhaseStat;
 use crate::{metrics, profile};
 use std::fmt::Write as _;
 
@@ -31,10 +36,7 @@ pub fn render() -> String {
 }
 
 /// [`render`] over explicit inputs (the testable core).
-pub fn render_parts(
-    readings: &[(&str, metrics::MetricReading)],
-    phases: &[profile::PhaseStat],
-) -> String {
+pub fn render_parts(readings: &[(&str, metrics::MetricReading)], phases: &[PhaseStat]) -> String {
     let mut out = String::new();
     for (name, reading) in readings {
         let pname = sanitize(name);
@@ -139,6 +141,87 @@ impl Sample {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Writes the sample as its exposition line, without the newline.
+impl std::fmt::Display for Sample {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.name)?;
+        if !self.labels.is_empty() {
+            let labels: Vec<String> = self
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .collect();
+            write!(f, "{{{}}}", labels.join(","))?;
+        }
+        write!(f, " {}", num(self.value))
+    }
+}
+
+/// The three per-phase families [`render_parts`] writes, in the order
+/// of [`PhaseStat`]'s `calls`, `total_ns` and `self_ns`.
+const PHASE_FAMILIES: [&str; 3] = [
+    "daisy_phase_calls_total",
+    "daisy_phase_seconds_total",
+    "daisy_phase_self_seconds_total",
+];
+
+/// One reading of the metrics registry and the phase profiler, decoded
+/// from exposition text: the inverse of [`render_parts`]. `daisy
+/// report` reads a trace's last snapshot and `daisy top` each
+/// `/metrics` poll through it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Snapshot {
+    /// Every sample outside the phase families, in text order.
+    pub samples: Vec<Sample>,
+    /// One entry per phase path, in text order.
+    pub phases: Vec<PhaseStat>,
+}
+
+impl Snapshot {
+    /// Parses exposition text ([`parse`]) and folds the three phase
+    /// families into one [`PhaseStat`] per path.
+    pub fn decode(text: &str) -> Result<Snapshot, String> {
+        let mut snap = Snapshot::default();
+        for s in parse(text)? {
+            let family = PHASE_FAMILIES.iter().position(|f| *f == s.name);
+            let (Some(family), Some(path)) = (family, s.label("phase")) else {
+                snap.samples.push(s);
+                continue;
+            };
+            let at = snap.phases.iter().position(|p| p.path == path);
+            let at = at.unwrap_or_else(|| {
+                let path = path.to_string();
+                snap.phases.push(PhaseStat {
+                    path,
+                    ..PhaseStat::default()
+                });
+                snap.phases.len() - 1
+            });
+            let phase = &mut snap.phases[at];
+            let ns = (s.value * 1e9).round() as u64;
+            match family {
+                0 => phase.calls = s.value as u64,
+                1 => phase.total_ns = ns,
+                _ => phase.self_ns = ns,
+            }
+        }
+        Ok(snap)
+    }
+
+    /// The value of the counter or gauge registered as `name` (for
+    /// example `serve.requests`), if the snapshot holds it.
+    pub fn value(&self, name: &str) -> Option<f64> {
+        sample_value(&self.samples, &sanitize(name))
+    }
+
+    /// The `p`-th percentile estimate of the histogram registered as
+    /// `name` ([`metrics::bucket_percentile`]); `None` when the
+    /// histogram is absent or empty.
+    pub fn percentile(&self, name: &str, p: f64) -> Option<f64> {
+        metrics::bucket_percentile(&histogram_pairs(&self.samples, &sanitize(name)), p)
     }
 }
 
@@ -364,6 +447,59 @@ mod tests {
             })
             .expect("seconds sample present");
         assert_eq!(secs.value, 2.5);
+    }
+
+    #[test]
+    fn snapshot_decodes_what_render_parts_wrote() {
+        let readings = vec![
+            ("serve.requests", MetricReading::Counter(12)),
+            ("serve.active_conns", MetricReading::Gauge(2.5)),
+            (
+                "serve.request_us",
+                MetricReading::Histogram {
+                    buckets: vec![(0, 9), (1024, 1)],
+                    count: 10,
+                    sum: 1500,
+                },
+            ),
+        ];
+        let phases = vec![
+            PhaseStat {
+                path: "fit".to_string(),
+                calls: 1,
+                total_ns: 2_500_000_123,
+                self_ns: 499_999_877,
+            },
+            PhaseStat {
+                path: "fit/epoch".to_string(),
+                calls: 4,
+                total_ns: 2_000_000_246,
+                self_ns: 2_000_000_246,
+            },
+        ];
+        let text = render_parts(&readings, &phases);
+        let snap = Snapshot::decode(&text).expect("writer output decodes");
+        // Phases come back to the nanosecond; every other sample stays
+        // a sample, and each prints as the line it was parsed from.
+        assert_eq!(snap.phases, phases);
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.starts_with("daisy_phase_"))
+            .collect();
+        let printed: Vec<String> = snap.samples.iter().map(|s| s.to_string()).collect();
+        assert_eq!(printed, lines);
+        assert_eq!(snap.value("serve.requests"), Some(12.0));
+        assert_eq!(snap.value("serve.active_conns"), Some(2.5));
+        assert_eq!(snap.value("serve.missing"), None);
+        // 9 zeros and one value in [1024, 2048): p50 is exactly zero and
+        // p99 (rank 9.9) lies 90% through the top bucket.
+        assert_eq!(snap.percentile("serve.request_us", 50.0), Some(0.0));
+        let p99 = snap
+            .percentile("serve.request_us", 99.0)
+            .expect("non-empty");
+        assert!((1945.0..1946.0).contains(&p99), "got {p99}");
+        assert_eq!(snap.percentile("serve.missing", 50.0), None);
+        assert!(Snapshot::decode("9bad 1\n").is_err());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   thread (pool job counts, kernel dispatch sizes). These values
 //!   legitimately vary with thread count, so they only enter the event
 //!   stream as an explicitly non-deterministic snapshot
-//!   ([`emit_metrics_snapshot`]).
+//!   ([`emit_metrics_snapshot`]) whose one field is the `/metrics`
+//!   exposition text ([`expose`]) of the registry and the phase
+//!   profiler.
 //!
 //! # Routing
 //!
@@ -209,43 +211,18 @@ pub fn duration_ms(ms: u64) -> Duration {
     Duration::from_millis(ms)
 }
 
-/// Emits the current state of every registered metric as one
-/// [`schema::METRICS_SNAPSHOT`] event marked non-deterministic (metrics values
-/// depend on thread count and scheduling, so the deterministic view
-/// drops the snapshot wholesale).
+/// Emits one reading of the metrics registry and the phase profiler as
+/// a [`schema::METRICS_SNAPSHOT`] event marked non-deterministic (the
+/// values depend on thread count, scheduling and wall time, so the
+/// deterministic view drops the snapshot wholesale). Its one field,
+/// `exposition`, is the `/metrics` text of that moment
+/// ([`expose::render`]), which [`expose::Snapshot::decode`] reads back.
 pub fn emit_metrics_snapshot() {
     if !enabled() {
         return;
     }
-    emit_event(Event::new(schema::METRICS_SNAPSHOT, metrics::snapshot_fields()).non_deterministic());
-}
-
-/// Emits the phase-profiler registry as one [`schema::PROFILE`] event
-/// marked non-deterministic (the profiler measures wall time, which
-/// the deterministic trace view must never see). Per phase path the
-/// event carries `<path>.calls`, `<path>.total_ms`, `<path>.self_ms`.
-/// A no-op when tracing is off or no phase has been recorded.
-pub fn emit_profile_snapshot() {
-    if !enabled() {
-        return;
-    }
-    let stats = profile::snapshot();
-    if stats.is_empty() {
-        return;
-    }
-    let mut fields = Fields::new();
-    for s in &stats {
-        fields.push(field(&format!("{}.calls", s.path), s.calls));
-        fields.push(field(
-            &format!("{}.total_ms", s.path),
-            s.total_ns as f64 / 1e6,
-        ));
-        fields.push(field(
-            &format!("{}.self_ms", s.path),
-            s.self_ns as f64 / 1e6,
-        ));
-    }
-    emit_event(Event::new(schema::PROFILE, fields).non_deterministic());
+    let fields = vec![field("exposition", expose::render())];
+    emit_event(Event::new(schema::METRICS_SNAPSHOT, fields).non_deterministic());
 }
 
 /// Opens a phase scope for the rest of the enclosing block: the named
@@ -313,6 +290,36 @@ mod tests {
         assert!(events[0].nd);
         let view = trace::deterministic_view(&rec.to_jsonl()).unwrap();
         assert!(view.is_empty());
+    }
+
+    #[test]
+    fn metrics_snapshot_is_the_exposition_of_that_moment() {
+        metrics::counter("test.lib.snapshot").add(2);
+        // Other tests touch the process-global registry concurrently, so
+        // compare only against a moment when two renders around the
+        // emission agree.
+        for _ in 0..100 {
+            let rec = Arc::new(MemoryRecorder::new());
+            let before = expose::render();
+            with_recorder(rec.clone(), emit_metrics_snapshot);
+            if expose::render() != before {
+                continue;
+            }
+            let events = rec.events();
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].name, schema::METRICS_SNAPSHOT);
+            assert_eq!(events[0].fields, vec![field("exposition", before)]);
+            // The JSON line carries the text intact, and it decodes.
+            let line = trace::parse_trace(&rec.to_jsonl()).unwrap();
+            let text = line[0]
+                .get("exposition")
+                .and_then(json::Json::as_str)
+                .unwrap();
+            let snap = expose::Snapshot::decode(text).unwrap();
+            assert!(snap.value("test.lib.snapshot").unwrap() >= 2.0);
+            return;
+        }
+        panic!("the registry never held still for one emission");
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! kernels should additionally gate on [`crate::enabled`] so a run
 //! without telemetry pays only one relaxed load.
 
-use crate::event::{field, Fields};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -181,38 +180,9 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     }
 }
 
-/// Snapshot of every registered metric as event fields, in
-/// lexicographic name order. Counters become `<name>`, gauges
-/// `<name>`, histograms `<name>.count`, `<name>.sum` and a compact
-/// `<name>.buckets` string (`"<lower>:<count>"` pairs joined by `,`).
-pub fn snapshot_fields() -> Fields {
-    let reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let mut out = Fields::new();
-    for (name, metric) in reg.iter() {
-        match metric {
-            Metric::C(c) => out.push(field(name, c.get())),
-            Metric::G(g) => out.push(field(name, g.get())),
-            Metric::H(h) => {
-                out.push(field(&format!("{name}.count"), h.count()));
-                out.push(field(&format!("{name}.sum"), h.sum()));
-                let buckets = h
-                    .nonzero_buckets()
-                    .iter()
-                    .map(|(lo, n)| format!("{lo}:{n}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                out.push(field(&format!("{name}.buckets"), buckets));
-            }
-        }
-    }
-    out
-}
-
 /// A point-in-time reading of one registered metric, in structured
-/// form. [`snapshot_fields`] flattens the same data into event fields;
-/// this shape feeds consumers that need the numbers back — the
-/// Prometheus-style exposition writer ([`crate::expose`]) and
-/// percentile estimation.
+/// form: the input of the Prometheus-style exposition writer
+/// ([`crate::expose`]), which is also how snapshots enter a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricReading {
     /// Counter value.
@@ -338,19 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_lists_in_name_order() {
-        counter("test.snap.a").add(1);
-        gauge("test.snap.b").set(2.0);
-        let fields = snapshot_fields();
-        let names: Vec<&str> = fields
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .filter(|k| k.starts_with("test.snap."))
-            .collect();
-        assert_eq!(names, vec!["test.snap.a", "test.snap.b"]);
-    }
-
-    #[test]
     #[should_panic(expected = "is not a gauge")]
     fn kind_mismatch_panics() {
         counter("test.metrics.mismatch");
@@ -358,12 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn readings_mirror_snapshot_fields() {
+    fn readings_list_every_metric_in_name_order() {
         counter("test.readings.c").add(7);
+        gauge("test.readings.g").set(2.0);
         let h = histogram("test.readings.h");
         h.reset();
         h.observe(5);
         let all = readings();
+        let names: Vec<&str> = all
+            .iter()
+            .map(|(n, _)| *n)
+            .filter(|n| n.starts_with("test.readings."))
+            .collect();
+        assert_eq!(
+            names,
+            vec!["test.readings.c", "test.readings.g", "test.readings.h"]
+        );
         let c = all.iter().find(|(n, _)| *n == "test.readings.c");
         assert!(matches!(c, Some((_, MetricReading::Counter(v))) if *v >= 7));
         let hist = all.iter().find(|(n, _)| *n == "test.readings.h");

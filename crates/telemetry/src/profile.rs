@@ -11,10 +11,12 @@
 //! actually burned rather than by whose stack frame it happened under.
 //!
 //! Wall-clock is non-deterministic by nature, so profile data never
-//! touches the deterministic event plane: snapshots are emitted only as
-//! `"nd":true` events ([`crate::emit_profile_snapshot`]) which
+//! touches the deterministic event plane: it reaches a trace only
+//! inside the `"nd":true` registry snapshot
+//! ([`crate::emit_metrics_snapshot`]), which
 //! [`crate::trace::deterministic_view`] drops wholesale. The
 //! byte-identical trace contract is unaffected by profiling being on.
+//! [`render_table`] is the one table every view prints phases with.
 //!
 //! Profiling is off by default. When off, [`scope`] is one relaxed
 //! atomic load and returns an inert guard — cheap enough to leave in
@@ -28,6 +30,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -97,7 +100,7 @@ pub fn init_from_env() -> bool {
 }
 
 /// A point-in-time reading of one phase path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// `/`-joined phase path, e.g. `fit/epoch/matmul_nt`.
     pub path: String,
@@ -242,13 +245,23 @@ pub fn snapshot() -> Vec<PhaseStat> {
         .collect()
 }
 
-/// The `n` hottest phases by self time, descending (ties break on path
-/// so the order is stable).
-pub fn top_by_self_time(n: usize) -> Vec<PhaseStat> {
-    let mut stats = snapshot();
-    stats.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.path.cmp(&b.path)));
-    stats.truncate(n);
-    stats
+/// The one phase table: a header line, then at most `limit` rows of
+/// `phases`, hottest self time first (ties break on path so the order
+/// is stable). `/profile`, `daisy report` and `daisy top` all print
+/// phases through it.
+pub fn render_table(phases: &[PhaseStat], limit: usize) -> String {
+    let mut ranked: Vec<&PhaseStat> = phases.iter().collect();
+    ranked.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.path.cmp(&b.path)));
+    let mut out = String::from("     self_ms     total_ms      calls  phase\n");
+    for p in ranked.into_iter().take(limit) {
+        let (self_ms, total_ms) = (p.self_ns as f64 / 1e6, p.total_ns as f64 / 1e6);
+        let _ = writeln!(
+            out,
+            "{self_ms:>12.1} {total_ms:>12.1} {:>10}  {}",
+            p.calls, p.path
+        );
+    }
+    out
 }
 
 /// Clears the registry (call counts and times), including the calling
@@ -341,20 +354,26 @@ mod tests {
     }
 
     #[test]
-    fn top_by_self_time_ranks_descending() {
-        isolated(|| {
-            {
-                let _a = scope("matmul");
-                spin_for_ns(2_000_000);
-            }
-            {
-                let _b = scope("conv2d");
-                spin_for_ns(100_000);
-            }
-            let top = top_by_self_time(1);
-            assert_eq!(top.len(), 1);
-            assert_eq!(top[0].path, "matmul");
-        });
+    fn render_table_ranks_by_self_time_and_keeps_the_row_limit() {
+        let stat = |path: &str, self_ns: u64| PhaseStat {
+            path: path.to_string(),
+            calls: 3,
+            total_ns: 2 * self_ns,
+            self_ns,
+        };
+        let phases = [
+            stat("conv2d", 100_000),
+            stat("optim", 2_000_000),
+            stat("matmul", 2_000_000),
+        ];
+        let table = render_table(&phases, 2);
+        let rows: Vec<&str> = table.lines().collect();
+        assert_eq!(rows[0], "     self_ms     total_ms      calls  phase");
+        // Equal self time breaks on path; the limit drops the coldest.
+        assert_eq!(rows[1], "         2.0          4.0          3  matmul");
+        assert_eq!(rows[2], "         2.0          4.0          3  optim");
+        assert_eq!(rows.len(), 3, "{table}");
+        assert_eq!(render_table(&phases, usize::MAX).lines().count(), 4);
     }
 
     #[test]

@@ -6,15 +6,23 @@
 //! trips, recovery actions, escalations), model selection, bench cells,
 //! and the final pool/kernel utilization snapshot. This is the engine
 //! behind the `daisy report` subcommand.
+//!
+//! The serving, profile and metrics sections read the trace's last
+//! `metrics` event through [`Snapshot::decode`], the decoder `daisy
+//! top` polls `/metrics` with. Snapshot events written before the
+//! `exposition` field existed are skipped.
 
+use crate::expose::Snapshot;
 use crate::json::Json;
-use crate::schema;
 use crate::trace::{parse_trace, validate_trace, TraceStats};
+use crate::{profile, schema};
 
 /// A parsed trace plus its validation summary.
 pub struct RunReport {
     stats: TraceStats,
     events: Vec<Json>,
+    /// The last registry snapshot of the trace, decoded.
+    snapshot: Option<Snapshot>,
 }
 
 fn fval(event: &Json, key: &str) -> String {
@@ -31,10 +39,24 @@ fn fval(event: &Json, key: &str) -> String {
 impl RunReport {
     /// Validates and parses a JSONL trace. Fails with the validator's
     /// line-numbered message on a malformed trace.
+    /// A last snapshot whose exposition does not parse is an error too.
     pub fn from_jsonl(jsonl: &str) -> Result<RunReport, String> {
         let stats = validate_trace(jsonl)?;
         let events = parse_trace(jsonl)?;
-        Ok(RunReport { stats, events })
+        let mut report = RunReport {
+            stats,
+            events,
+            snapshot: None,
+        };
+        let last = report
+            .named(schema::METRICS_SNAPSHOT)
+            .filter_map(|e| e.get("exposition")?.as_str())
+            .last();
+        report.snapshot = last
+            .map(Snapshot::decode)
+            .transpose()
+            .map_err(|e| format!("last metrics snapshot: {e}"))?;
+        Ok(report)
     }
 
     /// The validation summary for this trace.
@@ -213,35 +235,6 @@ impl RunReport {
         }
     }
 
-    /// Percentile **estimate** from a pow2-bucket string as rendered
-    /// by [`crate::metrics::snapshot_fields`] (`"<lower>:<count>"`
-    /// pairs joined by `,`): linear interpolation within the target
-    /// bucket via [`crate::metrics::bucket_percentile`]. The bucket
-    /// edges are powers of two, so the value is exact only for uniform
-    /// in-bucket distributions — renderers label it with `≈`.
-    fn bucket_percentile(buckets: &str, p: f64) -> Option<f64> {
-        let pairs: Vec<(u64, u64)> = buckets
-            .split(',')
-            .filter_map(|pair| {
-                let (lo, n) = pair.split_once(':')?;
-                Some((lo.parse().ok()?, n.parse().ok()?))
-            })
-            .collect();
-        crate::metrics::bucket_percentile(&pairs, p)
-    }
-
-    /// Renders `p50≈A p99≈B` for one `<name>.buckets` field of the
-    /// last metrics snapshot, or `None` when the histogram is absent
-    /// or empty.
-    fn snapshot_p50_p99(snapshot: &Json, name: &str) -> Option<(f64, f64)> {
-        let buckets = snapshot
-            .get(&format!("{name}.buckets"))
-            .and_then(Json::as_str)?;
-        let p50 = Self::bucket_percentile(buckets, 50.0)?;
-        let p99 = Self::bucket_percentile(buckets, 99.0)?;
-        Some((p50, p99))
-    }
-
     fn render_serving(&self, out: &mut String) {
         let starts: Vec<&Json> = self.named(schema::SERVE_START).collect();
         let reqs: Vec<&Json> = self.named(schema::SERVE_REQUEST_END).collect();
@@ -302,98 +295,60 @@ impl RunReport {
         }
         // Distributions from the last metrics snapshot. Percentiles
         // are linear-interpolation estimates inside pow2 buckets.
-        if let Some(snapshot) = self.named(schema::METRICS_SNAPSHOT).last() {
-            let resilience: Vec<String> = [
-                ("serve.timeouts", "timeouts"),
-                ("serve.drained", "drained"),
-                ("serve.shed_requests", "shed"),
-                ("serve.resumed_requests", "resumed"),
-                ("serve.reloads", "reloads"),
-            ]
-            .iter()
-            .filter_map(|(key, label)| {
-                let n = snapshot.get(key)?.as_u64()?;
-                (n > 0).then(|| format!("{label}={n}"))
-            })
-            .collect();
-            if !resilience.is_empty() {
-                out.push_str(&format!("  resilience  {}\n", resilience.join(" ")));
-            }
-            if let Some((p50, p99)) = Self::snapshot_p50_p99(snapshot, "serve.rows_per_request") {
-                out.push_str(&format!(
-                    "  rows/request  p50≈{p50:.0} p99≈{p99:.0} (pow2-bucket interpolation estimate)\n"
-                ));
-            }
-            if let Some((p50, p99)) = Self::snapshot_p50_p99(snapshot, "serve.request_us") {
-                out.push_str(&format!(
-                    "  latency       p50≈{:.1}ms p99≈{:.1}ms (pow2-bucket interpolation estimate)\n",
-                    p50 / 1000.0,
-                    p99 / 1000.0
-                ));
-            }
-            if let Some((p50, p99)) = Self::snapshot_p50_p99(snapshot, "serve.requests_per_conn") {
-                out.push_str(&format!(
-                    "  pipelining    requests/conn p50≈{p50:.0} p99≈{p99:.0} (pow2-bucket interpolation estimate)\n"
-                ));
-            }
-        }
-    }
-
-    fn render_profile(&self, out: &mut String) {
-        // The last profile snapshot is the end-of-run aggregate.
-        let Some(snapshot) = self.named(schema::PROFILE).last() else {
+        let Some(snap) = &self.snapshot else {
             return;
         };
-        let Some(members) = snapshot.as_obj() else {
-            return;
-        };
-        // Re-group the flattened `<path>.calls/.total_ms/.self_ms`
-        // fields by path, then rank hottest-first by self time.
-        let mut phases: Vec<(String, f64, f64, f64)> = Vec::new();
-        for (key, value) in members {
-            let Some(path) = key.strip_suffix(".calls") else {
-                continue;
-            };
-            let calls = value.as_f64().unwrap_or(0.0);
-            let total_ms = snapshot
-                .get(&format!("{path}.total_ms"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            let self_ms = snapshot
-                .get(&format!("{path}.self_ms"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            phases.push((path.to_string(), calls, total_ms, self_ms));
+        let resilience: Vec<String> = [
+            ("serve.timeouts", "timeouts"),
+            ("serve.drained", "drained"),
+            ("serve.shed_requests", "shed"),
+            ("serve.resumed_requests", "resumed"),
+            ("serve.reloads", "reloads"),
+        ]
+        .iter()
+        .filter_map(|(key, label)| {
+            let n = snap.value(key)?;
+            (n > 0.0).then(|| format!("{label}={n}"))
+        })
+        .collect();
+        if !resilience.is_empty() {
+            out.push_str(&format!("  resilience  {}\n", resilience.join(" ")));
         }
-        if phases.is_empty() {
-            return;
-        }
-        phases.sort_by(|a, b| b.3.total_cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
-        out.push_str("\nProfile (wall-time phases, hottest self time first; non-deterministic)\n");
-        out.push_str("  phase                                calls    total ms     self ms\n");
-        for (path, calls, total_ms, self_ms) in &phases {
+        let p50_p99 = |name| Some((snap.percentile(name, 50.0)?, snap.percentile(name, 99.0)?));
+        if let Some((p50, p99)) = p50_p99("serve.rows_per_request") {
             out.push_str(&format!(
-                "  {path:<35} {calls:>7.0} {total_ms:>11.1} {self_ms:>11.1}\n"
+                "  rows/request  p50≈{p50:.0} p99≈{p99:.0} (pow2-bucket interpolation estimate)\n"
+            ));
+        }
+        if let Some((p50, p99)) = p50_p99("serve.request_us") {
+            out.push_str(&format!(
+                "  latency       p50≈{:.1}ms p99≈{:.1}ms (pow2-bucket interpolation estimate)\n",
+                p50 / 1000.0,
+                p99 / 1000.0
+            ));
+        }
+        if let Some((p50, p99)) = p50_p99("serve.requests_per_conn") {
+            out.push_str(&format!(
+                "  pipelining    requests/conn p50≈{p50:.0} p99≈{p99:.0} (pow2-bucket interpolation estimate)\n"
             ));
         }
     }
 
-    fn render_metrics(&self, out: &mut String) {
-        // The last metrics snapshot is the end-of-run aggregate state.
-        let Some(snapshot) = self.named(schema::METRICS_SNAPSHOT).last() else {
+    fn render_profile(&self, out: &mut String) {
+        let Some(snap) = self.snapshot.as_ref().filter(|s| !s.phases.is_empty()) else {
             return;
         };
-        let Some(members) = snapshot.as_obj() else {
+        out.push_str("\nProfile (wall-time phases, hottest self time first; non-deterministic)\n");
+        out.push_str(&profile::render_table(&snap.phases, usize::MAX));
+    }
+
+    fn render_metrics(&self, out: &mut String) {
+        let Some(snap) = &self.snapshot else {
             return;
         };
         out.push_str("\nMetrics (last snapshot; non-deterministic)\n");
-        for (key, value) in members {
-            if matches!(key.as_str(), "seq" | "event" | "nd" | "wall") {
-                continue;
-            }
-            let mut rendered = String::new();
-            value.write(&mut rendered);
-            out.push_str(&format!("  {key} = {rendered}\n"));
+        for sample in &snap.samples {
+            out.push_str(&format!("  {sample}\n"));
         }
     }
 
@@ -435,6 +390,27 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::event::{field, Event};
+    use crate::expose::render_parts;
+    use crate::metrics::MetricReading;
+    use crate::profile::PhaseStat;
+
+    /// A `metrics` event line whose exposition holds `readings` and
+    /// `phases`, as [`crate::emit_metrics_snapshot`] writes it.
+    fn snapshot_line(readings: &[(&str, MetricReading)], phases: &[PhaseStat], seq: u64) -> String {
+        let fields = vec![field("exposition", render_parts(readings, phases))];
+        Event::new(schema::METRICS_SNAPSHOT, fields)
+            .non_deterministic()
+            .to_json_line(seq)
+    }
+
+    fn histogram(buckets: Vec<(u64, u64)>, sum: u64) -> MetricReading {
+        let count = buckets.iter().map(|(_, n)| n).sum();
+        MetricReading::Histogram {
+            buckets,
+            count,
+            sum,
+        }
+    }
 
     #[test]
     fn renders_losses_recovery_and_metrics() {
@@ -464,9 +440,7 @@ mod tests {
                 ],
             )
             .to_json_line(3),
-            Event::new(schema::METRICS_SNAPSHOT, vec![field("pool.jobs", 12u64)])
-                .non_deterministic()
-                .to_json_line(4),
+            snapshot_line(&[("pool.jobs", MetricReading::Counter(12))], &[], 4),
         ];
         let jsonl = lines.join("\n") + "\n";
         let report = RunReport::from_jsonl(&jsonl).unwrap();
@@ -476,7 +450,8 @@ mod tests {
         assert!(text.contains("0.5"), "{text}");
         assert!(text.contains("Recovery timeline"), "{text}");
         assert!(text.contains("action=rollback"), "{text}");
-        assert!(text.contains("pool.jobs = 12"), "{text}");
+        assert!(text.contains("Metrics (last snapshot"), "{text}");
+        assert!(text.contains("  daisy_pool_jobs 12\n"), "{text}");
     }
 
     #[test]
@@ -605,16 +580,14 @@ mod tests {
             .non_deterministic()
             .with_wall(vec![field("ms", 80.0f64)])
             .to_json_line(2),
-            Event::new(
-                schema::METRICS_SNAPSHOT,
-                vec![
-                    field("serve.rows_per_request.count", 2u64),
-                    field("serve.rows_per_request.sum", 2000u64),
-                    field("serve.rows_per_request.buckets", "256:1,1024:1"),
-                ],
-            )
-            .non_deterministic()
-            .to_json_line(3),
+            snapshot_line(
+                &[(
+                    "serve.rows_per_request",
+                    histogram(vec![(256, 1), (1024, 1)], 2000),
+                )],
+                &[],
+                3,
+            ),
         ];
         let jsonl = lines.join("\n") + "\n";
         let report = RunReport::from_jsonl(&jsonl).unwrap();
@@ -632,17 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_percentiles_interpolate_within_buckets() {
-        // 10 requests: 9 in the 0-bucket, 1 in the 1024-bucket.
-        let buckets = "0:9,1024:1";
-        assert_eq!(RunReport::bucket_percentile(buckets, 50.0), Some(0.0));
-        let p99 = RunReport::bucket_percentile(buckets, 99.0).expect("non-empty");
-        // Target rank 9.9 is 90% through the [1024,2048) bucket.
-        assert!((1945.0..1946.0).contains(&p99), "got {p99}");
-        assert_eq!(RunReport::bucket_percentile("", 50.0), None);
-    }
-
-    #[test]
     fn renders_latency_pipelining_and_profile_sections() {
         let lines = [
             Event::new(
@@ -652,32 +614,27 @@ mod tests {
             .non_deterministic()
             .with_wall(vec![field("ms", 4.0f64)])
             .to_json_line(0),
-            Event::new(
-                schema::METRICS_SNAPSHOT,
-                vec![
-                    field("serve.request_us.count", 4u64),
-                    field("serve.request_us.sum", 16000u64),
-                    field("serve.request_us.buckets", "4096:4"),
-                    field("serve.requests_per_conn.count", 2u64),
-                    field("serve.requests_per_conn.sum", 4u64),
-                    field("serve.requests_per_conn.buckets", "2:2"),
+            snapshot_line(
+                &[
+                    ("serve.request_us", histogram(vec![(4096, 4)], 16000)),
+                    ("serve.requests_per_conn", histogram(vec![(2, 2)], 4)),
                 ],
-            )
-            .non_deterministic()
-            .to_json_line(1),
-            Event::new(
-                schema::PROFILE,
-                vec![
-                    field("serve_request.calls", 4u64),
-                    field("serve_request.total_ms", 16.0f64),
-                    field("serve_request.self_ms", 6.0f64),
-                    field("serve_request/generate.calls", 4u64),
-                    field("serve_request/generate.total_ms", 10.0f64),
-                    field("serve_request/generate.self_ms", 10.0f64),
+                &[
+                    PhaseStat {
+                        path: "serve_request".to_string(),
+                        calls: 4,
+                        total_ns: 16_000_000,
+                        self_ns: 6_000_000,
+                    },
+                    PhaseStat {
+                        path: "serve_request/generate".to_string(),
+                        calls: 4,
+                        total_ns: 10_000_000,
+                        self_ns: 10_000_000,
+                    },
                 ],
-            )
-            .non_deterministic()
-            .to_json_line(2),
+                1,
+            ),
         ];
         let jsonl = lines.join("\n") + "\n";
         let report = RunReport::from_jsonl(&jsonl).unwrap();
@@ -691,17 +648,33 @@ mod tests {
         assert!(text.contains("Profile"), "{text}");
         // Hottest self time first: the generate child outranks its
         // parent's self share.
-        let generate_at = text.find("serve_request/generate").expect("child phase listed");
+        let generate_at = text
+            .find("        10.0         10.0          4  serve_request/generate\n")
+            .expect("child phase listed");
         let parent_at = text
-            .find("serve_request ")
-            .or_else(|| {
-                // Column-padded table: find the parent row, not the child.
-                text.match_indices("serve_request")
-                    .map(|(i, _)| i)
-                    .find(|&i| !text[i..].starts_with("serve_request/"))
-            })
+            .find("         6.0         16.0          4  serve_request\n")
             .expect("parent phase listed");
         assert!(generate_at < parent_at, "{text}");
+    }
+
+    #[test]
+    fn snapshots_without_an_exposition_are_skipped_and_a_bad_one_is_an_error() {
+        // A snapshot event from before the exposition field: the trace
+        // still validates and renders, without the snapshot sections.
+        let old = Event::new(schema::METRICS_SNAPSHOT, vec![field("pool.jobs", 12u64)])
+            .non_deterministic()
+            .to_json_line(0);
+        let text = RunReport::from_jsonl(&(old.clone() + "\n")).unwrap().render();
+        assert!(!text.contains("Metrics (last snapshot"), "{text}");
+        // The last snapshot with an exposition wins over older ones.
+        let new = snapshot_line(&[("pool.jobs", MetricReading::Counter(7))], &[], 1);
+        let jsonl = format!("{new}\n{old}\n").replace("\"seq\":0", "\"seq\":2");
+        let text = RunReport::from_jsonl(&jsonl).unwrap().render();
+        assert!(text.contains("daisy_pool_jobs 7"), "{text}");
+        let bad = Event::new(schema::METRICS_SNAPSHOT, vec![field("exposition", "9bad 1\n")])
+            .non_deterministic()
+            .to_json_line(0);
+        assert!(RunReport::from_jsonl(&(bad + "\n")).is_err());
     }
 
     #[test]

@@ -118,16 +118,11 @@ pub const SERVE_DRAIN: &str = "serve_drain";
 /// fingerprint after the attempt), `error` (`-` on success).
 pub const SERVE_RELOAD: &str = "serve_reload";
 
-/// Metrics-registry snapshot (whole event is non-deterministic).
-/// Fields: one per registered metric, see
-/// [`crate::metrics::snapshot_fields`].
+/// Snapshot of the metrics registry and the phase profiler (whole
+/// event is non-deterministic). Fields: `exposition`, the `/metrics`
+/// text of that moment ([`crate::expose::render`]), see
+/// [`crate::emit_metrics_snapshot`].
 pub const METRICS_SNAPSHOT: &str = "metrics";
-
-/// Phase-profiler snapshot (whole event is non-deterministic: the
-/// profiler measures wall time). Fields: `<path>.calls`,
-/// `<path>.total_ms`, `<path>.self_ms` per recorded phase path, see
-/// [`crate::emit_profile_snapshot`].
-pub const PROFILE: &str = "profile";
 
 /// The closed vocabulary of phase-path *segments* accepted by
 /// [`crate::profile::scope`] / `phase_scope!`. The workspace lint

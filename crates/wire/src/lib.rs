@@ -230,6 +230,10 @@ impl<'a> Reader<'a> {
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
+    /// Bytes consumed so far: the offset of the next read.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])

@@ -166,18 +166,22 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{HELP}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// A command-line mistake: `msg` followed by the usage text. Runtime
+/// failures are reported without it.
+fn usage(msg: impl std::fmt::Display) -> String {
+    format!("{msg}\n\n{HELP}")
 }
 
 /// Pulls `--flag value` out of the argument list, returning the value.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
     if let Some(pos) = args.iter().position(|a| a == flag) {
         if pos + 1 >= args.len() {
-            return Err(format!("{flag} requires a value"));
+            return Err(usage(format!("{flag} requires a value")));
         }
         let value = args.remove(pos + 1);
         args.remove(pos);
@@ -188,7 +192,8 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
 }
 
 fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("invalid {what}: {s:?}"))
+    s.parse()
+        .map_err(|_| usage(format!("invalid {what}: {s:?}")))
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -214,7 +219,7 @@ fn run(args: &[String]) -> Result<(), String> {
             print!("{}", daisy::telemetry::knobs::render());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(usage(format!("unknown command {other:?}"))),
     }
 }
 
@@ -232,7 +237,9 @@ fn save_csv(table: &Table, path: &str) -> Result<(), String> {
 
 fn describe(mut args: Vec<String>) -> Result<(), String> {
     let label = take_flag(&mut args, "--label")?;
-    let path = args.first().ok_or("describe requires a CSV path")?;
+    let path = args
+        .first()
+        .ok_or_else(|| usage("describe requires a CSV path"))?;
     let table = load_csv(path, label.as_deref())?;
     println!(
         "{path}: {} rows, {} numerical + {} categorical attributes",
@@ -287,14 +294,14 @@ fn describe(mut args: Vec<String>) -> Result<(), String> {
 /// after an interruption resumes from the append-only journal; the
 /// finished store is byte-identical to an uninterrupted run.
 fn ingest(mut args: Vec<String>) -> Result<(), String> {
-    let out = take_flag(&mut args, "--out")?.ok_or("ingest requires --out")?;
+    let out = take_flag(&mut args, "--out")?.ok_or_else(|| usage("ingest requires --out"))?;
     let label = take_flag(&mut args, "--label")?;
     let chunk_rows = match take_flag(&mut args, "--chunk-rows")? {
         Some(v) => parse_usize(&v, "--chunk-rows")?,
         None => 4096,
     };
     if chunk_rows == 0 {
-        return Err("--chunk-rows must be positive".into());
+        return Err(usage("--chunk-rows must be positive"));
     }
     let policy = match take_flag(&mut args, "--skip-budget")? {
         Some(v) => daisy::data::RowErrorPolicy::SkipWithBudget {
@@ -302,7 +309,9 @@ fn ingest(mut args: Vec<String>) -> Result<(), String> {
         },
         None => daisy::data::RowErrorPolicy::Strict,
     };
-    let input = args.first().ok_or("ingest requires an input CSV path")?;
+    let input = args
+        .first()
+        .ok_or_else(|| usage("ingest requires an input CSV path"))?;
     let cfg = daisy::data::IngestConfig {
         chunk_rows,
         label,
@@ -346,7 +355,9 @@ fn report(mut args: Vec<String>) -> Result<(), String> {
     } else {
         false
     };
-    let path = args.first().ok_or("report requires a trace path")?;
+    let path = args
+        .first()
+        .ok_or_else(|| usage("report requires a trace path"))?;
     let jsonl = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {path}: {e}"))?;
     // A crashed or killed recorder can leave a half-written final
@@ -397,7 +408,9 @@ fn serve(mut args: Vec<String>) -> Result<(), String> {
         args.remove(pos);
         cfg.shed = true;
     }
-    let model_path = args.first().ok_or("serve requires a model path")?;
+    let model_path = args
+        .first()
+        .ok_or_else(|| usage("serve requires a model path"))?;
     if stdio {
         let rows = daisy::serve::serve_stdio(model_path, &cfg).map_err(|e| e.to_string())?;
         eprintln!("served {rows} rows over stdio");
@@ -460,7 +473,7 @@ fn csv_lines(
 fn rows(mut args: Vec<String>) -> Result<(), String> {
     use std::io::Write;
 
-    let n = take_flag(&mut args, "--rows")?.ok_or("rows requires --rows")?;
+    let n = take_flag(&mut args, "--rows")?.ok_or_else(|| usage("rows requires --rows"))?;
     let n = parse_usize(&n, "--rows")? as u64;
     let seed = match take_flag(&mut args, "--seed")? {
         Some(v) => parse_usize(&v, "--seed")? as u64,
@@ -482,14 +495,19 @@ fn rows(mut args: Vec<String>) -> Result<(), String> {
     } else {
         false
     };
-    let addr = args.first().ok_or("rows requires a server address")?.clone();
+    let addr = args
+        .first()
+        .ok_or_else(|| usage("rows requires a server address"))?
+        .clone();
 
     // --resume: whatever complete CSV rows already sit in --out are
     // kept; a torn final line (a mid-write kill) is truncated away and
     // the stream picks up at the first missing row.
     let mut header_done = false;
     if resume {
-        let path = out.as_deref().ok_or("--resume requires --out")?;
+        let path = out
+            .as_deref()
+            .ok_or_else(|| usage("--resume requires --out"))?;
         if let Ok(existing) = std::fs::read_to_string(path) {
             let keep = existing.rfind('\n').map(|i| i + 1).unwrap_or(0);
             let complete_lines = existing[..keep].lines().count();
@@ -538,29 +556,18 @@ fn rows(mut args: Vec<String>) -> Result<(), String> {
         }
         None => Box::new(std::io::stdout()),
     };
-    let mut io_err: Option<String> = None;
+    // A batch that cannot be rendered or written ends the fetch.
     let attempts = daisy::serve::fetch_with_retry(addr.as_str(), &request, &policy, |p| {
-        if io_err.is_some() {
-            return;
-        }
-        let chunk = match csv_lines(&p, !header_done) {
-            Ok(chunk) => chunk,
-            Err(e) => {
-                io_err = Some(e.to_string());
-                return;
-            }
-        };
+        let chunk = csv_lines(&p, !header_done).map_err(|e| e.to_string())?;
         header_done = true;
         // Write and flush per validated batch so a killed client
         // leaves at most one torn line for --resume to truncate.
-        if let Err(e) = writer.write_all(chunk.as_bytes()).and_then(|()| writer.flush()) {
-            io_err = Some(format!("write failed: {e}"));
-        }
+        writer
+            .write_all(chunk.as_bytes())
+            .and_then(|()| writer.flush())
+            .map_err(|e| format!("write failed: {e}"))
     })
     .map_err(|e| e.to_string())?;
-    if let Some(e) = io_err {
-        return Err(e);
-    }
     writer.flush().map_err(|e| format!("flush failed: {e}"))?;
     if let Some(path) = &out {
         eprintln!(
@@ -576,21 +583,21 @@ fn rows(mut args: Vec<String>) -> Result<(), String> {
 fn reload(args: Vec<String>) -> Result<(), String> {
     let addr = args
         .first()
-        .ok_or("reload requires the server's admin address (DAISY_SERVE_ADMIN)")?;
+        .ok_or_else(|| usage("reload requires the server's admin address (DAISY_SERVE_ADMIN)"))?;
     let body = daisy::serve::post_admin(addr.as_str(), "/reload").map_err(|e| e.to_string())?;
     print!("{body}");
     Ok(())
 }
 
 fn demo(mut args: Vec<String>) -> Result<(), String> {
-    let out = take_flag(&mut args, "--out")?.ok_or("demo requires --out")?;
+    let out = take_flag(&mut args, "--out")?.ok_or_else(|| usage("demo requires --out"))?;
     let rows = match take_flag(&mut args, "--rows")? {
         Some(v) => parse_usize(&v, "--rows")?,
         None => 3000,
     };
     let name = take_flag(&mut args, "--dataset")?.unwrap_or_else(|| "Adult".into());
     let spec = daisy::datasets::by_name(&name)
-        .ok_or_else(|| format!("unknown dataset {name:?}"))?;
+        .ok_or_else(|| usage(format!("unknown dataset {name:?}")))?;
     let table = spec.generate(rows, 42);
     save_csv(&table, &out)?;
     println!(
@@ -603,7 +610,7 @@ fn demo(mut args: Vec<String>) -> Result<(), String> {
 }
 
 fn synth(mut args: Vec<String>) -> Result<(), String> {
-    let out = take_flag(&mut args, "--out")?.ok_or("synth requires --out")?;
+    let out = take_flag(&mut args, "--out")?.ok_or_else(|| usage("synth requires --out"))?;
     let label = take_flag(&mut args, "--label")?;
     let rows = take_flag(&mut args, "--rows")?;
     let network = take_flag(&mut args, "--network")?.unwrap_or_else(|| "mlp".into());
@@ -621,7 +628,7 @@ fn synth(mut args: Vec<String>) -> Result<(), String> {
     };
     let input = args
         .first()
-        .ok_or("synth requires an input CSV path")?
+        .ok_or_else(|| usage("synth requires an input CSV path"))?
         .clone();
 
     let table = load_csv(&input, label.as_deref())?;
@@ -644,13 +651,13 @@ fn synth(mut args: Vec<String>) -> Result<(), String> {
         "mlp" => NetworkKind::Mlp,
         "lstm" => NetworkKind::Lstm,
         "cnn" => NetworkKind::Cnn,
-        other => return Err(format!("unknown network {other:?}")),
+        other => return Err(usage(format!("unknown network {other:?}"))),
     };
     let mut tc = match train_algo.as_deref() {
         Some("vtrain") => TrainConfig::vtrain(iterations),
         Some("wtrain") => TrainConfig::wtrain(iterations),
         Some("ctrain") => TrainConfig::ctrain(iterations),
-        Some(other) => return Err(format!("unknown training algorithm {other:?}")),
+        Some(other) => return Err(usage(format!("unknown training algorithm {other:?}"))),
         None => {
             // Paper guidance: conditional GAN for skewed labels.
             if table.schema().label().is_some() && table.label_skewness() > 9.0 {
@@ -664,7 +671,7 @@ fn synth(mut args: Vec<String>) -> Result<(), String> {
     if let Some(eps) = epsilon {
         let eps: f64 = eps
             .parse()
-            .map_err(|_| format!("invalid --epsilon {eps:?}"))?;
+            .map_err(|_| usage(format!("invalid --epsilon {eps:?}")))?;
         let dp = DpConfig::for_epsilon(
             eps,
             iterations * 3,
@@ -680,7 +687,7 @@ fn synth(mut args: Vec<String>) -> Result<(), String> {
         "sn/ht" => TransformConfig::sn_ht(),
         "gn/od" => TransformConfig::gn_od(),
         "gn/ht" => TransformConfig::gn_ht(),
-        other => return Err(format!("unknown transform {other:?}")),
+        other => return Err(usage(format!("unknown transform {other:?}"))),
     };
     config.seed = seed;
 
@@ -709,14 +716,16 @@ fn synth(mut args: Vec<String>) -> Result<(), String> {
 }
 
 fn generate(mut args: Vec<String>) -> Result<(), String> {
-    let out = take_flag(&mut args, "--out")?.ok_or("generate requires --out")?;
-    let rows = take_flag(&mut args, "--rows")?.ok_or("generate requires --rows")?;
+    let out = take_flag(&mut args, "--out")?.ok_or_else(|| usage("generate requires --out"))?;
+    let rows = take_flag(&mut args, "--rows")?.ok_or_else(|| usage("generate requires --rows"))?;
     let rows = parse_usize(&rows, "--rows")?;
     let seed = match take_flag(&mut args, "--seed")? {
         Some(v) => parse_usize(&v, "--seed")? as u64,
         None => 7,
     };
-    let model_path = args.first().ok_or("generate requires a model path")?;
+    let model_path = args
+        .first()
+        .ok_or_else(|| usage("generate requires a model path"))?;
     let fitted = FittedSynthesizer::load(model_path)?;
     let mut rng = Rng::seed_from_u64(seed);
     let synthetic = fitted.generate(rows, &mut rng);
@@ -728,7 +737,7 @@ fn generate(mut args: Vec<String>) -> Result<(), String> {
 fn evaluate(mut args: Vec<String>) -> Result<(), String> {
     let label = take_flag(&mut args, "--label")?;
     if args.len() < 2 {
-        return Err("evaluate requires <REAL.csv> <SYNTH.csv>".into());
+        return Err(usage("evaluate requires <REAL.csv> <SYNTH.csv>"));
     }
     let real = load_csv(&args[0], label.as_deref())?;
     let synthetic = load_csv(&args[1], label.as_deref())?;
@@ -980,7 +989,14 @@ mod tests {
         let dir = std::env::temp_dir().join("daisy-cli-top-test");
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("trace.jsonl").to_string_lossy().to_string();
-        let line = Event::new("profile", vec![field("fit.calls", 1.0f64)])
+        let fit = daisy::telemetry::profile::PhaseStat {
+            path: "fit".to_string(),
+            calls: 1,
+            total_ns: 1_000_000,
+            self_ns: 1_000_000,
+        };
+        let text = daisy::telemetry::expose::render_parts(&[], &[fit]);
+        let line = Event::new("metrics", vec![field("exposition", text)])
             .non_deterministic()
             .to_json_line(0);
         std::fs::write(&trace, line + "\n").unwrap();

@@ -7,55 +7,11 @@
 //! renders the same sections offline from a recorded `DAISY_TRACE`
 //! file instead of polling anything.
 
-use daisy::telemetry::{expose, metrics};
+use daisy::telemetry::expose::Snapshot;
+use daisy::telemetry::profile;
 
 /// Phases shown in the hottest-phases table.
 const TOP_PHASES: usize = 8;
-
-/// One polled view of the admin plane, reduced to what the display
-/// needs. Rates come from differencing two snapshots.
-struct Snapshot {
-    /// Milliseconds since `daisy top` started, at capture time.
-    at_ms: f64,
-    requests: f64,
-    rows: f64,
-    active_conns: f64,
-    /// `(lower_bound_us, count)` pairs of the request latency histogram.
-    latency_us: Vec<(u64, u64)>,
-    /// `(path, calls, total_secs, self_secs)` sorted by self time.
-    phases: Vec<(String, f64, f64, f64)>,
-}
-
-impl Snapshot {
-    fn from_samples(samples: &[expose::Sample], at_ms: f64) -> Snapshot {
-        let mut phases: Vec<(String, f64, f64, f64)> = Vec::new();
-        for s in samples.iter().filter(|s| s.name == "daisy_phase_calls_total") {
-            if let Some(path) = s.label("phase") {
-                let total = labeled(samples, "daisy_phase_seconds_total", path);
-                let own = labeled(samples, "daisy_phase_self_seconds_total", path);
-                phases.push((path.to_string(), s.value, total, own));
-            }
-        }
-        phases.sort_by(|a, b| b.3.total_cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
-        Snapshot {
-            at_ms,
-            requests: expose::sample_value(samples, "daisy_serve_requests").unwrap_or(0.0),
-            rows: expose::sample_value(samples, "daisy_serve_rows").unwrap_or(0.0),
-            active_conns: expose::sample_value(samples, "daisy_serve_active_conns").unwrap_or(0.0),
-            latency_us: expose::histogram_pairs(samples, "daisy_serve_request_us"),
-            phases,
-        }
-    }
-}
-
-/// The value of `name{phase="path"}`, or 0 when absent.
-fn labeled(samples: &[expose::Sample], name: &str, path: &str) -> f64 {
-    samples
-        .iter()
-        .find(|s| s.name == name && s.label("phase") == Some(path))
-        .map(|s| s.value)
-        .unwrap_or(0.0)
-}
 
 /// Entry point for `daisy top`.
 pub fn top(mut args: Vec<String>) -> Result<(), String> {
@@ -64,9 +20,9 @@ pub fn top(mut args: Vec<String>) -> Result<(), String> {
         Some(v) => {
             let secs: f64 = v
                 .parse()
-                .map_err(|_| format!("invalid --interval: {v:?}"))?;
+                .map_err(|_| crate::usage(format!("invalid --interval: {v:?}")))?;
             if secs <= 0.0 || secs.is_nan() {
-                return Err("--interval must be positive".into());
+                return Err(crate::usage("--interval must be positive"));
             }
             (secs * 1000.0) as u64
         }
@@ -85,27 +41,28 @@ pub fn top(mut args: Vec<String>) -> Result<(), String> {
 
     let addr = args
         .first()
-        .ok_or("top requires an admin address (or --trace FILE)")?
+        .ok_or_else(|| crate::usage("top requires an admin address (or --trace FILE)"))?
         .clone();
     let watch = daisy::telemetry::Stopwatch::start();
-    let mut prev: Option<Snapshot> = None;
+    // The previous poll and the milliseconds at which it was taken.
+    let mut prev: Option<(Snapshot, f64)> = None;
     loop {
         let health = daisy::serve::fetch_admin(&addr, "/healthz")
             .map_err(|e| format!("cannot reach admin endpoint {addr}: {e}"))?;
         let text = daisy::serve::fetch_admin(&addr, "/metrics")
             .map_err(|e| format!("cannot reach admin endpoint {addr}: {e}"))?;
-        let samples =
-            expose::parse(&text).map_err(|e| format!("bad /metrics exposition: {e}"))?;
-        let snap = Snapshot::from_samples(&samples, watch.elapsed_ms());
+        let snap = Snapshot::decode(&text).map_err(|e| format!("bad /metrics exposition: {e}"))?;
+        let at_ms = watch.elapsed_ms();
         if !once {
             // Clear and home, so each frame overwrites the last.
             print!("\x1b[2J\x1b[H");
         }
-        print!("{}", render_frame(&addr, &health, &snap, prev.as_ref()));
+        let since = prev.as_ref().map(|(p, p_ms)| (p, (at_ms - p_ms) / 1000.0));
+        print!("{}", render_frame(&addr, &health, &snap, since));
         if once {
             return Ok(());
         }
-        prev = Some(snap);
+        prev = Some((snap, at_ms));
         daisy::telemetry::sleep_ms(interval_ms);
     }
 }
@@ -130,11 +87,13 @@ fn top_trace(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// One frame of the live view: `snap`, with rates against `prev`, an
+/// earlier poll taken the given number of seconds before.
 fn render_frame(
     addr: &str,
     health: &str,
     snap: &Snapshot,
-    prev: Option<&Snapshot>,
+    prev: Option<(&Snapshot, f64)>,
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!("daisy top — {addr}\n"));
@@ -146,23 +105,24 @@ fn render_frame(
             out.push_str(&format!("  {line}\n"));
         }
     }
+    let value = |s: &Snapshot, name| s.value(name).unwrap_or(0.0);
+    let (requests, rows) = (value(snap, "serve.requests"), value(snap, "serve.rows"));
     match prev {
-        Some(p) if snap.at_ms > p.at_ms => {
-            let dt = (snap.at_ms - p.at_ms) / 1000.0;
+        Some((p, dt)) if dt > 0.0 => {
             out.push_str(&format!(
                 "  requests/sec {:>10.1}    rows/sec {:>12.0}\n",
-                (snap.requests - p.requests) / dt,
-                (snap.rows - p.rows) / dt,
+                (requests - value(p, "serve.requests")) / dt,
+                (rows - value(p, "serve.rows")) / dt,
             ));
         }
         _ => out.push_str("  requests/sec        n/a    rows/sec          n/a  (first sample)\n"),
     }
     out.push_str(&format!(
-        "  requests {:>14.0}    rows {:>16.0}    active conns {:.0}\n",
-        snap.requests, snap.rows, snap.active_conns
+        "  requests {requests:>14.0}    rows {rows:>16.0}    active conns {:.0}\n",
+        value(snap, "serve.active_conns")
     ));
-    let p50 = metrics::bucket_percentile(&snap.latency_us, 50.0);
-    let p99 = metrics::bucket_percentile(&snap.latency_us, 99.0);
+    let p50 = snap.percentile("serve.request_us", 50.0);
+    let p99 = snap.percentile("serve.request_us", 99.0);
     if let (Some(p50), Some(p99)) = (p50, p99) {
         out.push_str(&format!(
             "  latency p50≈{:.1}ms p99≈{:.1}ms (pow2-bucket interpolation estimate)\n",
@@ -174,11 +134,7 @@ fn render_frame(
         out.push_str("  no phase profile (start the server with DAISY_PROFILE=1)\n");
     } else {
         out.push_str("  hottest phases (self time):\n");
-        for (path, calls, total, own) in snap.phases.iter().take(TOP_PHASES) {
-            out.push_str(&format!(
-                "    {path:<35} calls {calls:>9.0}  total {total:>8.3}s  self {own:>8.3}s\n"
-            ));
-        }
+        out.push_str(&profile::render_table(&snap.phases, TOP_PHASES));
     }
     out
 }
@@ -186,58 +142,86 @@ fn render_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daisy::telemetry::expose::render_parts;
+    use daisy::telemetry::metrics::MetricReading;
+    use daisy::telemetry::profile::PhaseStat;
 
-    fn sample(name: &str, phase: Option<&str>, value: f64) -> expose::Sample {
-        expose::Sample {
-            name: name.to_string(),
-            labels: phase
-                .map(|p| vec![("phase".to_string(), p.to_string())])
-                .unwrap_or_default(),
-            value,
+    fn phase(path: &str, calls: u64, total_ms: u64, self_ms: u64) -> PhaseStat {
+        PhaseStat {
+            path: path.to_string(),
+            calls,
+            total_ns: total_ms * 1_000_000,
+            self_ns: self_ms * 1_000_000,
         }
+    }
+
+    /// The snapshot `/metrics` would serve for these serve counters,
+    /// request latencies and phases.
+    fn snapshot(
+        requests: u64,
+        rows: u64,
+        latency_us: Vec<(u64, u64)>,
+        phases: &[PhaseStat],
+    ) -> Snapshot {
+        let count = latency_us.iter().map(|(_, n)| n).sum();
+        let readings = [
+            ("serve.active_conns", MetricReading::Gauge(1.0)),
+            ("serve.requests", MetricReading::Counter(requests)),
+            ("serve.rows", MetricReading::Counter(rows)),
+            (
+                "serve.request_us",
+                MetricReading::Histogram {
+                    buckets: latency_us,
+                    count,
+                    sum: 0,
+                },
+            ),
+        ];
+        Snapshot::decode(&render_parts(&readings, phases)).expect("exposition decodes")
+    }
+
+    /// The phase-table rows of `text`: the lines after the table's
+    /// header line, up to the first blank line.
+    fn table_rows(text: &str) -> Vec<&str> {
+        let header = profile::render_table(&[], 0);
+        let mut lines = text.lines().skip_while(|l| *l != header.trim_end());
+        lines.next().expect("phase table present");
+        lines.take_while(|l| !l.is_empty()).collect()
     }
 
     #[test]
     fn snapshot_reduces_samples_and_ranks_phases() {
-        let samples = vec![
-            sample("daisy_serve_requests", None, 10.0),
-            sample("daisy_serve_rows", None, 5000.0),
-            sample("daisy_serve_active_conns", None, 2.0),
-            sample("daisy_phase_calls_total", Some("fit"), 1.0),
-            sample("daisy_phase_seconds_total", Some("fit"), 3.0),
-            sample("daisy_phase_self_seconds_total", Some("fit"), 0.5),
-            sample("daisy_phase_calls_total", Some("fit/epoch"), 4.0),
-            sample("daisy_phase_seconds_total", Some("fit/epoch"), 2.5),
-            sample("daisy_phase_self_seconds_total", Some("fit/epoch"), 2.0),
+        let phases = [
+            phase("fit", 1, 3000, 500),
+            phase("fit/epoch", 4, 2500, 2000),
         ];
-        let snap = Snapshot::from_samples(&samples, 100.0);
-        assert_eq!(snap.requests, 10.0);
-        assert_eq!(snap.rows, 5000.0);
-        assert_eq!(snap.active_conns, 2.0);
+        let snap = snapshot(10, 5000, vec![], &phases);
+        assert_eq!(snap.value("serve.requests"), Some(10.0));
+        assert_eq!(snap.value("serve.rows"), Some(5000.0));
+        assert_eq!(snap.value("serve.active_conns"), Some(1.0));
+        assert_eq!(snap.phases, phases);
         // Ranked by self time: the epoch body beats the fit shell.
-        assert_eq!(snap.phases[0].0, "fit/epoch");
-        assert_eq!(snap.phases[1].0, "fit");
+        let frame = render_frame("a", "", &snap, None);
+        let rows = table_rows(&frame);
+        assert!(rows[0].ends_with("  fit/epoch"), "{frame}");
+        assert!(rows[1].ends_with("  fit"), "{frame}");
     }
 
     #[test]
     fn frame_shows_rates_from_two_snapshots() {
-        let old = Snapshot {
-            at_ms: 0.0,
-            requests: 10.0,
-            rows: 1000.0,
-            active_conns: 1.0,
-            latency_us: vec![],
-            phases: vec![],
-        };
-        let new = Snapshot {
-            at_ms: 2000.0,
-            requests: 30.0,
-            rows: 9000.0,
-            active_conns: 1.0,
-            latency_us: vec![(4096, 4)],
-            phases: vec![("serve_request".into(), 30.0, 1.2, 1.0)],
-        };
-        let frame = render_frame("127.0.0.1:1", "ok\nfingerprint 0xab\n", &new, Some(&old));
+        let old = snapshot(10, 1000, vec![], &[]);
+        let new = snapshot(
+            30,
+            9000,
+            vec![(4096, 4)],
+            &[phase("serve_request", 30, 1200, 1000)],
+        );
+        let frame = render_frame(
+            "127.0.0.1:1",
+            "ok\nfingerprint 0xab\n",
+            &new,
+            Some((&old, 2.0)),
+        );
         assert!(frame.contains("requests/sec       10.0"), "{frame}");
         assert!(frame.contains("rows/sec         4000"), "{frame}");
         assert!(frame.contains("fingerprint 0xab"), "{frame}");
@@ -249,15 +233,44 @@ mod tests {
 
     #[test]
     fn frame_hints_when_profiling_is_off() {
-        let snap = Snapshot {
-            at_ms: 0.0,
-            requests: 0.0,
-            rows: 0.0,
-            active_conns: 0.0,
-            latency_us: vec![],
-            phases: vec![],
-        };
-        let frame = render_frame("a", "", &snap, None);
+        let frame = render_frame("a", "", &Snapshot::default(), None);
         assert!(frame.contains("DAISY_PROFILE=1"), "{frame}");
+    }
+
+    /// The one phase table: the rows the raw phases render to are the
+    /// rows `daisy report` prints from a trace snapshot (all of them)
+    /// and the rows `daisy top` prints (the hottest [`TOP_PHASES`]).
+    #[test]
+    fn report_and_top_print_the_rows_of_the_one_phase_table() {
+        use daisy::telemetry::{field, schema, Event, RunReport};
+        let phases: Vec<PhaseStat> = (0..12u64)
+            .map(|i| {
+                phase(
+                    &format!("serve_request/p{i:02}"),
+                    i + 1,
+                    100 + 7 * i,
+                    3 * i % 11,
+                )
+            })
+            .collect();
+        let raw = profile::render_table(&phases, usize::MAX);
+        let raw_rows = table_rows(&raw);
+        assert_eq!(raw_rows.len(), phases.len());
+
+        let text = render_parts(&[], &phases);
+        let line = Event::new(
+            schema::METRICS_SNAPSHOT,
+            vec![field("exposition", text.clone())],
+        )
+        .non_deterministic()
+        .to_json_line(0);
+        let report = RunReport::from_jsonl(&(line + "\n"))
+            .expect("trace validates")
+            .render();
+        assert_eq!(table_rows(&report), raw_rows, "{report}");
+
+        let snap = Snapshot::decode(&text).expect("exposition decodes");
+        let frame = render_frame("a", "", &snap, None);
+        assert_eq!(table_rows(&frame), raw_rows[..TOP_PHASES], "{frame}");
     }
 }

@@ -316,3 +316,32 @@ fn daisy_rows_writes_csv_that_read_csv_reads_back() {
     }
     assert!(quoted > 0, "the stream exercised no quoted category");
 }
+
+/// `daisy rows` stops at its first failed write: the fetch ends with
+/// the write error instead of streaming the rest of the response, and
+/// the failure prints without the usage text.
+#[test]
+fn daisy_rows_stops_at_the_first_failed_write() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipped: this host has no /dev/full");
+        return;
+    }
+    let server =
+        Server::bind(model_path(), "127.0.0.1:0", ServeConfig::default()).expect("server binds");
+    let addr = server.local_addr().expect("server has an address");
+    // daisy-lint: allow(D003) -- test server thread; responses are seed-reproducible
+    std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    let watch = daisy::telemetry::Stopwatch::start();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_daisy"))
+        .args(["rows", &addr.to_string(), "--rows", "4000000", "--out", "/dev/full"])
+        .output()
+        .expect("daisy rows runs");
+    let secs = watch.elapsed_ms() / 1000.0;
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(secs < 10.0, "daisy rows took {secs:.1} s to fail: {stderr}");
+    assert!(!out.status.success(), "daisy rows succeeded: {stderr}");
+    assert!(stderr.contains("write failed"), "{stderr}");
+    assert!(!stderr.contains("USAGE:"), "{stderr}");
+}

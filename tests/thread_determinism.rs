@@ -92,11 +92,11 @@ fn fit_trace_deterministic_view_is_byte_identical_across_runs_and_threads() {
 }
 
 /// The observability plane's determinism contract: enabling the phase
-/// profiler must not perturb the deterministic trace view. Profile
-/// snapshots carry wall time, so they ride the nd plane — present in
-/// the raw trace, stripped from the deterministic view — and the view
-/// stays byte-identical across thread counts and against an unprofiled
-/// run.
+/// profiler must not perturb the deterministic trace view. Phase times
+/// are wall time, so they ride the nd plane inside the `metrics`
+/// snapshot — present in the raw trace, stripped from the deterministic
+/// view — and the view stays byte-identical across thread counts and
+/// against an unprofiled run.
 #[test]
 fn deterministic_view_is_byte_identical_with_profiling_enabled() {
     use daisy::telemetry::profile;
@@ -113,16 +113,16 @@ fn deterministic_view_is_byte_identical_with_profiling_enabled() {
     profile::set_enabled(false);
 
     assert!(
-        raw_1.contains("\"event\":\"profile\""),
-        "profiled run should emit a profile snapshot:\n{raw_1}"
+        raw_1.contains("daisy_phase_self_seconds_total{phase=\\\"fit"),
+        "profiled run should snapshot its phases:\n{raw_1}"
     );
     assert!(
         raw_1.contains("fit/epoch"),
         "profile paths should nest under fit/epoch:\n{raw_1}"
     );
     assert!(
-        !view_1.contains("\"event\":\"profile\""),
-        "the deterministic view must drop the (nd) profile snapshot"
+        !view_1.contains("daisy_phase_"),
+        "the deterministic view must drop the (nd) snapshot"
     );
     assert_eq!(unprofiled, view_1, "profiling changed the deterministic view");
     assert_eq!(view_1, view_4, "profiled view changed with the thread count");
